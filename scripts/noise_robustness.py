@@ -9,27 +9,13 @@ corrections applied.
 
 import argparse
 
-from ghzgen import (
-    PSI_PLUS,
-    apply_errors,
-    depolarizing_mixture,
-    family_state,
-    fidelity,
-    run_full,
-)
+from ghzgen import sweep_noise
 
 
 def mean_fidelities(p):
-    target = family_state(PSI_PLUS)
-    corrected = 0.0
-    uncorrected = 0.0
-    for weight, errors in depolarizing_mixture(p):
-        report = run_full(errors)
-        channel = [e for e in report.entries if e.branch == "B"]
-        prob = sum(e.pattern_probability for e in channel)
-        term = sum(e.pattern_probability * e.fidelity for e in channel) / prob
-        corrected += weight * term
-        uncorrected += weight * fidelity(apply_errors(target, errors), target)
+    rows = sweep_noise(p)
+    corrected = sum(r["weight"] * r["corrected_fidelity"] for r in rows)
+    uncorrected = sum(r["weight"] * r["uncorrected_fidelity"] for r in rows)
     return corrected, uncorrected
 
 

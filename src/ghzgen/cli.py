@@ -22,31 +22,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .dsl import ParseError, elaborate, parse
 from .network import CircuitNetwork
-from .noise import (
-    PSI_PLUS,
-    apply_errors,
-    classify_family,
-    depolarizing_mixture,
-    family_state,
-    format_noise_spec,
-)
+from .noise import format_noise_spec, parse_noise_spec
 from .pipeline import (
     RunReport,
     branch_states,
     entanglement_report,
     run_full,
+    sweep_noise,
     verify_correction_table,
     verify_reference_states,
 )
 from .source import CaseWeights
-from .states import fidelity, phase_fixed, to_json_terms
+from .states import phase_fixed, to_json_terms
 
 BUILTINS = ("fig1", "fig3")
 
@@ -67,22 +60,22 @@ class _UsageError(Exception):
     pass
 
 
-def _load_builtin(name: str) -> CircuitNetwork:
-    text = (resources.files("ghzgen") / "fixtures" / f"{name}.onet").read_text(
-        encoding="utf-8"
-    )
-    return elaborate(parse(text), name=name)
-
-
-def _load_network(flags: dict, default_builtin: str) -> CircuitNetwork:
+def _read_circuit(flags: dict, default_builtin: str | None) -> tuple[str, str]:
+    """Circuit text and name from ``--network FILE`` or ``--builtin NAME``."""
     path = flags.get("network")
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            return Path(path).read_text(encoding="utf-8"), Path(path).stem
         except OSError as exc:
             raise _UsageError(f"cannot read network file: {exc}") from exc
-        return elaborate(parse(text), name=Path(path).stem)
-    return _load_builtin(flags.get("builtin") or default_builtin)
+    name = flags.get("builtin") or default_builtin
+    fixture = resources.files("ghzgen") / "fixtures" / f"{name}.onet"
+    return fixture.read_text(encoding="utf-8"), name
+
+
+def _load_network(flags: dict, default_builtin: str) -> CircuitNetwork:
+    text, name = _read_circuit(flags, default_builtin)
+    return elaborate(parse(text), name=name)
 
 
 def _parse_weights(text: str | None) -> CaseWeights | None:
@@ -102,16 +95,23 @@ def _parse_weights(text: str | None) -> CaseWeights | None:
 
 
 def _split_noise(spec: str | None) -> tuple[str | None, float | None]:
-    """A noise flag is either an explicit error list or ``p=VALUE``."""
+    """A noise flag is either an explicit error list or ``p=VALUE``; both
+    forms are checked here, so a bad one is a usage error."""
     if spec is None:
         return None, None
-    if spec.startswith("p="):
+    if not spec.startswith("p="):
         try:
-            p = float(spec[2:])
+            parse_noise_spec(spec)
         except ValueError as exc:
-            raise _UsageError(f"bad depolarization strength: {spec!r}") from exc
-        return None, p
-    return spec, None
+            raise _UsageError(f"bad noise spec: {exc}") from exc
+        return spec, None
+    try:
+        p = float(spec[2:])
+    except ValueError as exc:
+        raise _UsageError(f"bad depolarization strength: {spec!r}") from exc
+    if not 0.0 <= p <= 1.0:
+        raise _UsageError(f"depolarization strength must be in [0, 1], got {spec!r}")
+    return None, p
 
 
 def _dump_json(payload) -> str:
@@ -251,33 +251,13 @@ def cmd_sweep(spec: CommandSpec) -> int:
         raise _UsageError("sweep-noise needs a strength spec like p=0.1")
     if p is None:
         p = 0.1
-    network = _load_network(flags, default_builtin="fig3")
-    weights = _parse_weights(flags.get("weights"))
-    theta = flags.get("theta")
-    alpha = flags.get("alpha")
-    terms = depolarizing_mixture(p)
-    target = family_state(PSI_PLUS)
-
-    def one(term):
-        weight, errors = term
-        report = run_full(
-            errors, network=network, weights=weights, theta=theta, alpha=alpha
-        )
-        channel = [e for e in report.entries if e.branch == "B"]
-        prob = sum(e.pattern_probability for e in channel)
-        corrected = sum(e.pattern_probability * e.fidelity for e in channel) / prob
-        noisy = apply_errors(target, errors)
-        return {
-            "errors": format_noise_spec(errors),
-            "weight": weight,
-            "family": classify_family(noisy).label,
-            "corrected_fidelity": corrected,
-            "uncorrected_fidelity": fidelity(noisy, target),
-        }
-
-    # independent exact runs; output order follows the mixture order
-    with ThreadPoolExecutor() as executor:
-        rows = list(executor.map(one, terms))
+    rows = sweep_noise(
+        p,
+        network=_load_network(flags, default_builtin="fig3"),
+        weights=_parse_weights(flags.get("weights")),
+        theta=flags.get("theta"),
+        alpha=flags.get("alpha"),
+    )
 
     corrected_mean = sum(r["weight"] * r["corrected_fidelity"] for r in rows)
     uncorrected_mean = sum(r["weight"] * r["uncorrected_fidelity"] for r in rows)
@@ -310,18 +290,7 @@ def cmd_parse(spec: CommandSpec) -> int:
     flags = spec.flags
     if not flags.get("network") and not flags.get("builtin"):
         raise _UsageError("parse needs --network FILE or --builtin NAME")
-    if flags.get("network"):
-        path = Path(flags["network"])
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _UsageError(f"cannot read network file: {exc}") from exc
-        name = path.stem
-    else:
-        name = flags["builtin"]
-        text = (resources.files("ghzgen") / "fixtures" / f"{name}.onet").read_text(
-            encoding="utf-8"
-        )
+    text, name = _read_circuit(flags, default_builtin=None)
     document = parse(text)
     network = elaborate(document, name=name)
     if flags.get("json"):
@@ -341,14 +310,9 @@ def cmd_parse(spec: CommandSpec) -> int:
 
 def cmd_dump(spec: CommandSpec) -> int:
     flags = spec.flags
-    network = _load_network(flags, default_builtin="fig1")
-    weights = _parse_weights(flags.get("weights"))
-    if weights is not None or flags.get("theta") or flags.get("alpha"):
-        from .pipeline import _with_overrides
-
-        network = _with_overrides(
-            network, weights=weights, theta=flags.get("theta"), alpha=flags.get("alpha")
-        )
+    network = _load_network(flags, default_builtin="fig1").with_overrides(
+        _parse_weights(flags.get("weights")), flags.get("theta"), flags.get("alpha")
+    )
     rows = []
     for bs in branch_states(network):
         rows.append(

@@ -13,7 +13,6 @@ fan-out arms ("source" style).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -74,6 +73,23 @@ class CircuitNetwork:
     def with_settings(self, **kwargs) -> "CircuitNetwork":
         return replace(self, settings=replace(self.settings, **kwargs))
 
+    def with_overrides(
+        self,
+        weights: CaseWeights | None = None,
+        theta: float | None = None,
+        alpha: float | None = None,
+    ) -> "CircuitNetwork":
+        """A copy with the given source weights and probe settings; an
+        argument left as ``None`` keeps the network's own value."""
+        network = self
+        if weights is not None:
+            network = replace(self, source=SourceSpec(kind="pdc2", weights=weights))
+        if theta is not None:
+            network = network.with_settings(theta=theta)
+        if alpha is not None:
+            network = network.with_settings(alpha=alpha)
+        return network
+
 
 @dataclass(frozen=True)
 class ChannelSlot:
@@ -99,6 +115,9 @@ class NetworkStructure:
     style: str  # "generator" or "source"
     slots: tuple[ChannelSlot, ...]
     boundary: int  # elements[:boundary] = fan-out, elements[boundary:] = fan-in
+    # one mode group per photon: the channel pairs of a generator, the
+    # detector groups of a source
+    positions: tuple[tuple[str, ...], ...]
 
 
 def _as_resolving_pbs(element: ModeTransform, group_modes: set[str]) -> ChannelSlot | None:
@@ -141,13 +160,17 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
 
     slots = []
     for group in groups:
-        slot = None
-        for element in network.elements:
-            slot = _as_resolving_pbs(element, set(group.modes))
-            if slot is not None:
-                break
+        modes = set(group.modes)
+        slot = next(
+            filter(None, (_as_resolving_pbs(e, modes) for e in network.elements)), None
+        )
         if slot is None:
-            return NetworkStructure(style="source", slots=(), boundary=len(network.elements))
+            return NetworkStructure(
+                style="source",
+                slots=(),
+                boundary=len(network.elements),
+                positions=tuple(g.modes for g in groups),
+            )
         slots.append(slot)
 
     channel_modes = {m for slot in slots for m in slot.pair}
@@ -156,17 +179,9 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
         if any(rail.mode in channel_modes for rail in element.in_rails):
             boundary = i
             break
-    return NetworkStructure(style="generator", slots=tuple(slots), boundary=boundary)
-
-
-def coincidence_groups(
-    network: CircuitNetwork, structure: NetworkStructure | None = None
-) -> list[tuple[Iterable[str], int]]:
-    """Occupancy requirement for fourfold coincidence: one photon at the
-    trigger and one in each photon pair."""
-    groups: list[tuple[Iterable[str], int]] = [(network.trigger.modes, 1)]
-    if structure is not None and structure.style == "generator":
-        groups.extend((slot.pair, 1) for slot in structure.slots)
-    else:
-        groups.extend((g.modes, 1) for g in network.photon_groups)
-    return groups
+    return NetworkStructure(
+        style="generator",
+        slots=tuple(slots),
+        boundary=boundary,
+        positions=tuple(slot.pair for slot in slots),
+    )

@@ -15,7 +15,7 @@ sampled, unless an explicit seeded sample is requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -33,12 +33,15 @@ from .network import (
     analyze,
 )
 from .noise import (
+    PSI_PLUS,
     NoiseFamily,
     PauliError,
     all_families,
     apply_errors,
     classify_family,
+    depolarizing_mixture,
     family_state,
+    format_noise_spec,
     parse_noise_spec,
 )
 from .qnd import (
@@ -52,7 +55,9 @@ from .qnd import (
 from .source import CaseWeights, dual_pass_emission
 from .states import (
     Bipartition,
+    ModeTransform,
     PureState,
+    compose,
     factor_out_mode,
     fidelity,
     joint_density,
@@ -311,18 +316,11 @@ def branch_states(
     )
     fan_out = network.elements[: structure.boundary]
     trigger = network.trigger
-    if structure.style == "generator":
-        pair_groups = [(slot.pair, 1) for slot in structure.slots]
-    else:
-        pair_groups = [(g.modes, 1) for g in network.photon_groups]
+    groups = [(trigger.modes, 1)] + [(modes, 1) for modes in structure.positions]
     results = []
     for outcome in outcomes:
-        state = feed_forward(outcome)
-        for element in fan_out:
-            state = element.apply(state)
-        conditional, prob = project_occupancy(
-            state, [(trigger.modes, 1)] + pair_groups
-        )
+        state = compose(fan_out, feed_forward(outcome))
+        conditional, prob = project_occupancy(state, groups)
         if prob == 0.0:
             continue
         merged = merge_spatial_modes(
@@ -347,33 +345,11 @@ def run_ghzps(
 ) -> list[tuple[str, PureState, float]]:
     """Fan-out stage only: per branch, the fourfold-coincidence
     conditional state (trigger factored out) and its joint probability."""
-    network = build_ghzps()
-    network = _with_overrides(network, weights=weights, theta=theta, alpha=alpha)
+    network = build_ghzps().with_overrides(weights, theta, alpha)
     return [
         (bs.branch, bs.conditional, bs.joint_probability)
         for bs in branch_states(network)
     ]
-
-
-def _with_overrides(
-    network: CircuitNetwork,
-    weights: CaseWeights | None = None,
-    theta: float | None = None,
-    alpha: float | None = None,
-    noise: str | None = None,
-) -> CircuitNetwork:
-    if weights is not None:
-        network = replace(network, source=SourceSpec(kind="pdc2", weights=weights))
-    updates = {}
-    if theta is not None:
-        updates["theta"] = theta
-    if alpha is not None:
-        updates["alpha"] = alpha
-    if noise is not None:
-        updates["noise"] = noise
-    if updates:
-        network = network.with_settings(**updates)
-    return network
 
 
 # --- full runs -----------------------------------------------------------
@@ -431,21 +407,34 @@ def entanglement_report(
     Works on either network style; for the full generator the states are
     taken at the channel boundary, before the resolving merges.
     """
-    network = network or build_ghzps()
-    network = _with_overrides(network, weights=weights)
+    network = (network or build_ghzps()).with_overrides(weights)
     structure = analyze(network)
-    if structure.style == "generator":
-        positions = tuple(slot.pair for slot in structure.slots)
-    else:
-        positions = tuple(g.modes for g in network.photon_groups)
     return [
         (
             bs.branch,
             bs.joint_probability,
-            _entanglement_summary(bs.conditional, positions),
+            _entanglement_summary(bs.conditional, structure.positions),
         )
         for bs in branch_states(network, structure)
     ]
+
+
+def _resolve(
+    state: PureState,
+    family: NoiseFamily | str,
+    fan_in: Sequence[ModeTransform],
+    slots: Sequence[ChannelSlot],
+):
+    """Fan a channel state in, postselect each coincidence pattern, apply
+    the table's correction and score it against the GHZ target.
+
+    Yields (pattern, pattern probability, ops, corrected state, fidelity).
+    """
+    for pattern, cond, p_pat in postselect_coincidence(compose(fan_in, state), slots):
+        ops = lookup_correction(family, pattern).ops
+        corrected = apply_corrections(cond, pattern, ops)
+        fid = fidelity(corrected, ghz_target(pattern.modes))
+        yield pattern, p_pat, ops, corrected, fid
 
 
 def run_full(
@@ -467,8 +456,7 @@ def run_full(
     ``sample=True`` a single branch and pattern are drawn with the seeded
     generator (homodyne records included) instead of reporting all.
     """
-    network = network or build_fig3()
-    network = _with_overrides(network, weights=weights, theta=theta, alpha=alpha)
+    network = (network or build_fig3()).with_overrides(weights, theta, alpha)
     structure = analyze(network)
     if noise is None and network.settings.noise:
         noise = network.settings.noise
@@ -477,12 +465,8 @@ def run_full(
         raise ValueError("channel noise needs a generator-style network")
     rng = np.random.default_rng(seed) if sample else None
     branches = branch_states(network, structure, rng=rng)
-    slot_pairs = tuple(slot.pair for slot in structure.slots)
-    positions = (
-        slot_pairs
-        if structure.style == "generator"
-        else tuple(g.modes for g in network.photon_groups)
-    )
+    positions = structure.positions
+    fan_in = network.elements[structure.boundary :]
 
     entries: list[RunEntry] = []
     for bs in branches:
@@ -505,17 +489,14 @@ def run_full(
             continue
         chan = bs.conditional
         if bs.branch == "B" and errors:
-            chan = apply_errors(chan, errors, slot_pairs)
+            chan = apply_errors(chan, errors, positions)
         if bs.branch == "A":
             family: NoiseFamily | str = PHI_PLUS
         else:
-            family = classify_family(chan, slot_pairs)
-        state = chan
-        for element in network.elements[structure.boundary :]:
-            state = element.apply(state)
-        for pattern, cond, p_pat in postselect_coincidence(state, structure.slots):
-            rule = lookup_correction(family, pattern)
-            corrected = apply_corrections(cond, pattern, rule.ops)
+            family = classify_family(chan, positions)
+        for pattern, p_pat, ops, corrected, fid in _resolve(
+            chan, family, fan_in, structure.slots
+        ):
             entries.append(
                 RunEntry(
                     branch=bs.branch,
@@ -525,9 +506,9 @@ def run_full(
                     coincidence_probability=bs.coincidence_probability,
                     pattern_probability=p_pat,
                     joint_probability=bs.joint_probability * p_pat,
-                    corrections=rule.ops,
+                    corrections=ops,
                     state=phase_fixed(corrected),
-                    fidelity=fidelity(corrected, ghz_target(pattern.modes)),
+                    fidelity=fid,
                 )
             )
 
@@ -590,6 +571,46 @@ def _entry_matches(entry: RunEntry, sampled: dict) -> bool:
     return entry.pattern is None
 
 
+def sweep_noise(
+    p: float,
+    *,
+    network: CircuitNetwork | None = None,
+    weights: CaseWeights | None = None,
+    theta: float | None = None,
+    alpha: float | None = None,
+) -> list[dict]:
+    """One full run per Pauli term of a single-photon depolarizing channel
+    of strength ``p``, in mixture order.
+
+    Each row gives the term's errors, its mixture weight, the family the
+    errors turn the channel state into, and the channel fidelity with the
+    table's corrections (averaged over the coincidence patterns) and
+    without any.
+    """
+    target = family_state(PSI_PLUS)
+    rows = []
+    for weight, errors in depolarizing_mixture(p):
+        report = run_full(
+            errors, network=network, weights=weights, theta=theta, alpha=alpha
+        )
+        channel = [e for e in report.entries if e.branch == "B"]
+        prob = sum(e.pattern_probability for e in channel)
+        noisy = apply_errors(target, errors)
+        rows.append(
+            {
+                "errors": format_noise_spec(errors),
+                "weight": weight,
+                "family": classify_family(noisy).label,
+                "corrected_fidelity": sum(
+                    e.pattern_probability * e.fidelity for e in channel
+                )
+                / prob,
+                "uncorrected_fidelity": fidelity(noisy, target),
+            }
+        )
+    return rows
+
+
 # --- literal reference states (for the verify commands) -------------------
 
 
@@ -608,18 +629,14 @@ def verify_correction_table(
         families = [f for f in all_families() if not f.mirrored]
     rows = []
     for fam in families:
-        state = family_state(fam)
-        for element in fan_in:
-            state = element.apply(state)
-        for pattern, cond, p_pat in postselect_coincidence(state, structure.slots):
-            rule = lookup_correction(fam, pattern)
-            corrected = apply_corrections(cond, pattern, rule.ops)
-            fid = fidelity(corrected, ghz_target(pattern.modes))
+        for pattern, p_pat, ops, _, fid in _resolve(
+            family_state(fam), fam, fan_in, structure.slots
+        ):
             rows.append(
                 {
                     "family": fam.label,
                     "pattern": pattern.label,
-                    "ops": rule.ops,
+                    "ops": ops,
                     "pattern_probability": p_pat,
                     "fidelity": fid,
                     "passed": fid >= 1.0 - 1e-12,
@@ -666,9 +683,7 @@ def verify_reference_states() -> list[dict]:
     for fam in all_families():
         if fam.mirrored:
             continue
-        state = family_state(fam)
-        for element in fan_in:
-            state = element.apply(state)
+        state = compose(fan_in, family_state(fam))
         fid = fidelity(state, evolved_family_literal(fam))
         checks.append(
             {
@@ -710,8 +725,6 @@ def branch_a_literal() -> PureState:
 
 def branch_b_literal() -> PureState:
     """Mixed-pass conditional: the noiseless channel family state."""
-    from .noise import PSI_PLUS, family_state
-
     return family_state(PSI_PLUS)
 
 

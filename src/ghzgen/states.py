@@ -408,10 +408,6 @@ class ModeTransform:
         return PureState(acc)
 
 
-def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureState:
-    return transform.apply(state)
-
-
 def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:
     for t in transforms:
         state = t.apply(state)

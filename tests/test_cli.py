@@ -51,6 +51,21 @@ def test_run_with_noise_classifies_and_recovers(capsys):
         assert entry["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--noise", "Q@1"),
+        ("run", "--noise", "X@7"),
+        ("sweep-noise", "--noise", "p=2"),
+    ],
+)
+def test_bad_noise_flag_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_run_rejects_sweep_style_noise(capsys):
     code, out, err = _run(capsys, "run", "--noise", "p=0.1")
     assert code == 2
@@ -276,6 +291,13 @@ def test_dump_branch_records(capsys):
         2 * DEFAULT_ALPHA * math.cos(DEFAULT_THETA)
     )
     assert branches["B"]["x"] == pytest.approx(2 * DEFAULT_ALPHA)
+
+
+def test_dump_honours_zero_theta(capsys):
+    code, payload = _run_json(capsys, "dump", "--theta", "0")
+    assert code == 0
+    branches = {row["branch"]: row for row in payload["branches"]}
+    assert branches["A"]["x"] == 2 * DEFAULT_ALPHA
 
 
 # --- argv handling --------------------------------------------------------------

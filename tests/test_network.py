@@ -11,7 +11,6 @@ from ghzgen import (
     analyze,
     build_fig3,
     build_ghzps,
-    coincidence_groups,
     make_bs,
     make_pbs,
 )
@@ -118,17 +117,16 @@ def test_analysis_requires_trigger_and_three_pairs():
         analyze(bad_pair)
 
 
-def test_coincidence_groups_by_style():
-    fan_out = build_ghzps()
-    groups = coincidence_groups(fan_out, analyze(fan_out))
-    assert groups[0] == (("T1", "T2"), 1)
-    assert (("D2", "d2"), 1) in groups
+def test_positions_by_style():
+    # a source exposes its detector groups, a generator its channel pairs
+    fan_out = analyze(build_ghzps())
+    assert fan_out.style == "source"
+    assert fan_out.positions == (("D1", "d1"), ("D2", "d2"), ("D3", "d3"))
 
-    generator = build_fig3()
-    groups = coincidence_groups(generator, analyze(generator))
-    assert groups[0] == (("T1", "T2"), 1)
-    assert (("d3", "D3"), 1) in groups
-    assert len(groups) == 4
+    generator = analyze(build_fig3())
+    assert generator.style == "generator"
+    assert generator.positions == (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
+    assert generator.positions == tuple(slot.pair for slot in generator.slots)
 
 
 def test_settings_defaults():

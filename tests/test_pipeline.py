@@ -27,6 +27,7 @@ from ghzgen import (
     postselect_coincidence,
     run_full,
     run_ghzps,
+    sweep_noise,
     verify_correction_table,
     verify_reference_states,
 )
@@ -266,6 +267,13 @@ def test_run_full_every_single_error_recovers():
 def test_run_full_noise_needs_generator_network():
     with pytest.raises(ValueError):
         run_full("X@1", network=build_ghzps())
+
+
+def test_sweep_noise_rows():
+    rows = sweep_noise(0.1)
+    assert len(rows) == 64
+    assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=TOL)
+    assert all(r["corrected_fidelity"] >= 1.0 - TOL for r in rows)
 
 
 def test_run_full_source_style_reports_structure():

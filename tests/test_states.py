@@ -14,7 +14,6 @@ from ghzgen import (
     PureState,
     Rail,
     VACUUM,
-    apply_mode_transform,
     factor_out_mode,
     fidelity,
     inner_product,
@@ -199,12 +198,6 @@ def test_apply_rejects_passthrough_collision():
     t = ModeTransform("relabel", rails_in, rails_out, np.eye(1, dtype=complex))
     with pytest.raises(ValueError):
         t.apply(ket(("a", "H"), ("b", "H")))
-
-
-def test_apply_mode_transform_free_function():
-    h = _hadamard("a")
-    s = ket(("a", "H"))
-    assert apply_mode_transform(s, h) == h.apply(s)
 
 
 def test_compose_matches_single_matrix():
