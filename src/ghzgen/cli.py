@@ -11,8 +11,10 @@ Subcommands:
     parse                 validate a circuit file, print canonical text
     dump                  branch conditional states as JSON
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or
-circuit-parse errors.  JSON output is byte-deterministic for fixed
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
+circuit-parse or network errors (a wrong detector structure, a
+non-finite or negative probe setting, or noise on a source-style
+network).  JSON output is byte-deterministic for fixed
 inputs and seed: keys are sorted and floats use their shortest
 round-trip form.
 """
@@ -27,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dsl import ParseError, elaborate, parse
-from .network import CircuitNetwork
+from .network import CircuitNetwork, NetworkError
 from .noise import format_noise_spec, parse_noise_spec
 from .pipeline import (
     RunReport,
@@ -415,10 +417,7 @@ def main(argv=None) -> int:
     spec = CommandSpec(command=command, flags=flags)
     try:
         return _HANDLERS[command](spec)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
+    except (_UsageError, ParseError, NetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ fan-out arms ("source" style).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,13 @@ from .source import CaseWeights
 from .states import ModeTransform
 
 TRIGGER_GROUP = "T"
+
+
+class NetworkError(ValueError):
+    """A network or its settings cannot serve the requested run: a wrong
+    detector structure, a non-finite or negative probe setting, or an
+    operation the network's style does not support.  Bad input, not an
+    engine fault."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,14 @@ class NetworkSettings:
     theta: float = DEFAULT_THETA
     alpha: float = DEFAULT_ALPHA
     noise: str | None = None
+
+    def __post_init__(self):
+        # a NaN probe setting would turn every amplitude into NaN, which
+        # pruning then drops without a word
+        if not math.isfinite(self.theta):
+            raise NetworkError(f"theta must be finite, got {self.theta!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise NetworkError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +166,13 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
     consuming any of them.
     """
     if network.trigger is None:
-        raise ValueError(f"network has no detector group named {TRIGGER_GROUP!r}")
+        raise NetworkError(f"network has no detector group named {TRIGGER_GROUP!r}")
     groups = network.photon_groups
     if len(groups) != 3:
-        raise ValueError(f"expected 3 photon detector groups, found {len(groups)}")
+        raise NetworkError(f"expected 3 photon detector groups, found {len(groups)}")
     for group in groups:
         if len(set(group.modes)) != 2:
-            raise ValueError(f"detector group {group.name} must pair two modes")
+            raise NetworkError(f"detector group {group.name} must pair two modes")
 
     slots = []
     for group in groups:

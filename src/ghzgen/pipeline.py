@@ -16,6 +16,7 @@ sampled, unless an explicit seeded sample is requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .network import (
     ChannelSlot,
     CircuitNetwork,
     DetectorGroup,
+    NetworkError,
     NetworkSettings,
     NetworkStructure,
     SourceSpec,
@@ -102,8 +104,10 @@ def _fan_out_arm(
     )
 
 
+@lru_cache(maxsize=None)
 def build_ghzps() -> CircuitNetwork:
-    """The fan-out network alone, detectors on the raw arm pairs."""
+    """The fan-out network alone, detectors on the raw arm pairs.  Cached:
+    the network is frozen, and callers vary it through ``with_overrides``."""
     upper = _fan_out_arm(
         "a1", "b1", "T1", ("D1", "D2", "D3"),
         ("va1", "u1", "u2", "x1", "y1", "xh", "xv", "g1", "g2"),
@@ -126,8 +130,10 @@ def build_ghzps() -> CircuitNetwork:
     )
 
 
+@lru_cache(maxsize=None)
 def build_fig3() -> CircuitNetwork:
-    """The full generator: fan-out plus half-wave flips and resolving merges."""
+    """The full generator: fan-out plus half-wave flips and resolving
+    merges.  Cached like ``build_ghzps``."""
     base = build_ghzps()
     fan_in = (
         make_hwp90("D1"),
@@ -462,7 +468,7 @@ def run_full(
         noise = network.settings.noise
     errors = parse_noise_spec(noise) if isinstance(noise, str) else tuple(noise or ())
     if errors and structure.style != "generator":
-        raise ValueError("channel noise needs a generator-style network")
+        raise NetworkError("channel noise needs a generator-style network")
     rng = np.random.default_rng(seed) if sample else None
     branches = branch_states(network, structure, rng=rng)
     positions = structure.positions
@@ -587,6 +593,9 @@ def sweep_noise(
     table's corrections (averaged over the coincidence patterns) and
     without any.
     """
+    network = network or build_fig3()
+    if analyze(network).style != "generator":
+        raise NetworkError("the noise sweep needs a generator-style network")
     target = family_state(PSI_PLUS)
     rows = []
     for weight, errors in depolarizing_mixture(p):

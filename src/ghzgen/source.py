@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .states import H, V, PureState, ket
 
@@ -49,12 +50,14 @@ def pdc_pair(a: str, b: str) -> PureState:
     return s.normalized()
 
 
+@lru_cache(maxsize=None)
 def two_pair_product(i: int, j: int) -> PureState:
     """Two pairs, one from pass ``i`` and one from pass ``j``, normalized.
 
     For i == j the bosonic product develops double occupations with
     sqrt(2) enhancements; the state is renormalized afterwards so every
-    case enters the superposition with unit norm.
+    case enters the superposition with unit norm.  Cached: the state does
+    not depend on the case weights, and a ``PureState`` is never mutated.
     """
     arms = {1: UPPER_ARM, 2: LOWER_ARM}
     if i not in arms or j not in arms:

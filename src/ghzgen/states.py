@@ -70,6 +70,15 @@ class FockKet:
                 merged[rail] = merged.get(rail, 0) + count
         self._occ = tuple(sorted(merged.items()))
 
+    @classmethod
+    def _canonical(cls, occ: tuple[tuple[Rail, int], ...]) -> "FockKet":
+        """Wrap an occupation tuple that is already canonical (sorted by
+        rail, every rail a ``Rail``, every count a positive int), skipping
+        validation.  For engine internals only."""
+        k = object.__new__(cls)
+        k._occ = occ
+        return k
+
     @property
     def occupations(self) -> tuple[tuple[Rail, int], ...]:
         return self._occ
@@ -154,6 +163,15 @@ class PureState:
             amp = complex(amp)
             acc[k] = acc.get(k, 0j) + amp
         self._terms = {k: a for k, a in acc.items() if abs(a) > PRUNE_TOL}
+
+    @classmethod
+    def _pruned(cls, acc: dict[FockKet, complex]) -> "PureState":
+        """State from amplitudes already summed onto ``0j`` per ket, as the
+        public constructor sums them; only the pruning is left to do.  For
+        engine internals only."""
+        state = object.__new__(cls)
+        state._terms = {k: a for k, a in acc.items() if abs(a) > PRUNE_TOL}
+        return state
 
     @property
     def terms(self) -> dict[FockKet, complex]:
@@ -340,6 +358,14 @@ class ModeTransform:
             raise ValueError(f"{self.name}: columns are not orthonormal")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        # apply's plan: per input column, the nonzero (output index,
+        # amplitude) entries in output order, as Python complex numbers
+        columns = tuple(
+            tuple((i, u) for i, u in enumerate(column) if u != 0) for column in m.T.tolist()
+        )
+        object.__setattr__(self, "_in_index", {r: j for j, r in enumerate(in_rails)})
+        object.__setattr__(self, "_out_set", frozenset(out_rails))
+        object.__setattr__(self, "_columns", columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeTransform):
@@ -357,15 +383,24 @@ class ModeTransform:
     def apply(self, state: PureState) -> PureState:
         """Rewrite every creation operator on an input rail through the
         matrix.  Rails outside ``in_rails`` pass through untouched but must
-        not collide with ``out_rails``."""
-        in_index = {r: j for j, r in enumerate(self.in_rails)}
-        out_set = set(self.out_rails)
-        n_out = len(self.out_rails)
+        not collide with ``out_rails``.
+
+        The floating-point operations and their order are fixed: a ket's
+        amplitude is divided by sqrt(prod n!) of its input counts, then
+        each created photon multiplies by u * sqrt(m + 1), and outputs are
+        summed onto 0j in ket order.  Results are therefore bit-for-bit
+        reproducible, not merely close."""
+        in_index = self._in_index
+        out_set = self._out_set
+        columns = self._columns
+        out_rails = self.out_rails
+        vacuum_occ = (0,) * len(out_rails)
         acc: dict[FockKet, complex] = {}
-        for k, amp in state.terms.items():
-            counts = [0] * len(self.in_rails)
+        for k, amp in state._terms.items():
+            counts: list[tuple[int, int]] = []
             passthrough: list[tuple[Rail, int]] = []
-            for rail, n in k:
+            for entry in k._occ:
+                rail = entry[0]
                 j = in_index.get(rail)
                 if j is None:
                     if rail in out_set:
@@ -373,39 +408,39 @@ class ModeTransform:
                             f"{self.name}: rail {rail} is already occupied "
                             "on an output of this element"
                         )
-                    passthrough.append((rail, n))
+                    passthrough.append(entry)
                 else:
-                    counts[j] = n
+                    counts.append((j, entry[1]))
+            if not counts:
+                # the same arithmetic as below with nothing to create:
+                # divide by sqrt(1), sum onto 0j.  The ket keeps its object,
+                # and no other ket's image can land on it, because it holds
+                # no photon on an output (checked above).
+                acc[k] = 0j + amp / 1.0
+                continue
             # normalized-ket bookkeeping: divide out the input sqrt(n!) up
             # front, then each a† application contributes sqrt(m+1)
+            counts.sort()
             norm_div = 1.0
-            for n in counts:
+            for _, n in counts:
                 norm_div *= math.factorial(n)
-            partial: dict[tuple[int, ...], complex] = {
-                (0,) * n_out: amp / math.sqrt(norm_div)
-            }
-            for j, n in enumerate(counts):
-                column = self.matrix[:, j]
+            partial: dict[tuple[int, ...], complex] = {vacuum_occ: amp / math.sqrt(norm_div)}
+            for j, n in counts:
+                column = columns[j]
                 for _ in range(n):
                     nxt: dict[tuple[int, ...], complex] = {}
                     for occ, c in partial.items():
-                        for i in range(n_out):
-                            u = column[i]
-                            if u == 0:
-                                continue
-                            grown = list(occ)
-                            grown[i] += 1
-                            key = tuple(grown)
-                            nxt[key] = nxt.get(key, 0j) + c * u * math.sqrt(occ[i] + 1)
+                        for i, u in column:
+                            m = occ[i]
+                            key = occ[:i] + (m + 1,) + occ[i + 1 :]
+                            nxt[key] = nxt.get(key, 0j) + c * u * math.sqrt(m + 1)
                     partial = nxt
             for occ, c in partial.items():
-                entries = list(passthrough)
-                entries.extend(
-                    (self.out_rails[i], m) for i, m in enumerate(occ) if m
-                )
-                out_ket = FockKet(entries)
+                entries = passthrough + [(out_rails[i], m) for i, m in enumerate(occ) if m]
+                entries.sort()
+                out_ket = FockKet._canonical(tuple(entries))
                 acc[out_ket] = acc.get(out_ket, 0j) + c
-        return PureState(acc)
+        return PureState._pruned(acc)
 
 
 def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:

@@ -6,6 +6,10 @@ vectors over explicitly enumerated Fock bases, and a hand-written
 single-photon matrix for the fan-out network.  None of the engine's
 evolution code is used; states cross the boundary only as dicts keyed
 by occupation tuples.
+
+The one exception is ``reference_apply``: the engine's earlier, plainly
+written ``ModeTransform.apply``, kept here unchanged so the optimized
+kernel can be held to bit-for-bit equality with it.
 """
 
 from __future__ import annotations
@@ -266,3 +270,59 @@ COINCIDENCE_GROUPS = (
     (("D2", "H"), ("D2", "V"), ("d2", "H"), ("d2", "V")),
     (("D3", "H"), ("D3", "V"), ("d3", "H"), ("d3", "V")),
 )
+
+
+# --- bit-exact reference for ModeTransform.apply --------------------------
+
+
+def reference_apply(transform, state):
+    """The engine's earlier ``ModeTransform.apply``, verbatim but for the
+    ``self`` -> ``transform`` rename: it rebuilds every ket through the
+    validating public constructors.  The engine's kernel must return
+    exactly these amplitudes, in exactly this ket order."""
+    from ghzgen.states import FockKet, PureState
+
+    in_index = {r: j for j, r in enumerate(transform.in_rails)}
+    out_set = set(transform.out_rails)
+    n_out = len(transform.out_rails)
+    acc = {}
+    for k, amp in state.terms.items():
+        counts = [0] * len(transform.in_rails)
+        passthrough = []
+        for rail, n in k:
+            j = in_index.get(rail)
+            if j is None:
+                if rail in out_set:
+                    raise ValueError(
+                        f"{transform.name}: rail {rail} is already occupied "
+                        "on an output of this element"
+                    )
+                passthrough.append((rail, n))
+            else:
+                counts[j] = n
+        norm_div = 1.0
+        for n in counts:
+            norm_div *= math.factorial(n)
+        partial = {(0,) * n_out: amp / math.sqrt(norm_div)}
+        for j, n in enumerate(counts):
+            column = transform.matrix[:, j]
+            for _ in range(n):
+                nxt = {}
+                for occ, c in partial.items():
+                    for i in range(n_out):
+                        u = column[i]
+                        if u == 0:
+                            continue
+                        grown = list(occ)
+                        grown[i] += 1
+                        key = tuple(grown)
+                        nxt[key] = nxt.get(key, 0j) + c * u * math.sqrt(occ[i] + 1)
+                partial = nxt
+        for occ, c in partial.items():
+            entries = list(passthrough)
+            entries.extend(
+                (transform.out_rails[i], m) for i, m in enumerate(occ) if m
+            )
+            out_ket = FockKet(entries)
+            acc[out_ket] = acc.get(out_ket, 0j) + c
+    return PureState(acc)

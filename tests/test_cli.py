@@ -1,7 +1,9 @@
 """Command-line interface: flags, output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -64,6 +66,35 @@ def test_bad_noise_flag_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _two_group_circuit(tmp_path):
+    text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.startswith("detect P3")]
+    path = tmp_path / "two_groups.onet"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--builtin", "fig1", "--noise", "X@1"), "generator-style"),
+        (("run", "--alpha", "-1"), "alpha must be finite and nonnegative"),
+        (("run", "--network", None), "expected 3 photon detector groups"),
+        (("run", "--theta", "nan"), "theta must be finite"),
+        (("run", "--alpha", "inf"), "alpha must be finite and nonnegative"),
+    ],
+    ids=["noise-on-source-style", "negative-alpha", "two-detector-groups", "nan-theta", "inf-alpha"],
+)
+def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
+    # None stands for a circuit file with only two photon detector groups
+    argv = tuple(_two_group_circuit(tmp_path) if a is None else a for a in argv)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
 
 
 def test_run_rejects_sweep_style_noise(capsys):
@@ -226,6 +257,14 @@ def test_sweep_noise_rejects_error_list(capsys):
     assert "p=0.1" in err
 
 
+def test_sweep_noise_rejects_source_style_network(capsys):
+    code, out, err = _run(capsys, "sweep-noise", "--builtin", "fig1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "generator-style" in err
+
+
 # --- parse and dump -----------------------------------------------------------
 
 
@@ -319,3 +358,32 @@ def test_builtin_and_network_are_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run", "--builtin", "fig3", "--network", "x.onet"])
     assert info.value.code == 2
+
+
+# --- golden stdout --------------------------------------------------------------
+
+# sha256 of stdout, recorded with the plainly written ModeTransform.apply
+# that tests/oracles.py keeps as reference_apply.  Output is byte-for-byte
+# deterministic, so any engine change that moves a single bit of a printed
+# amplitude or probability shows here; such a change must update these
+# digests on purpose.  analyze-entanglement is left out because its SVD
+# depends on the BLAS build, sweep-noise because it is slow.
+GOLDEN_STDOUT = {
+    ("run",): "208ef83fedb1e3877096b5d529aa922179da33525018274650263accae7f4d09",
+    ("run", "--noise", "X@1,Z@3"): "c4d938f51ce6a12840d1c762785538df70d75bc71b9a1d802169d7cfa93c146b",
+    ("run", "--builtin", "fig1"): "039d4221e290979e8f68144454873d8cd2dbb6200f4bfbd7c0a663db5e540079",
+    ("run", "--sample", "--seed", "5"): "2bf1045355b686cf24500f704d9ef41a3581298302b7ea6e7c1bdb75e2a9b48d",
+    ("run", "--weights", "0.2,0.3,0.5", "--theta", "0.02"): "0bd345cff4a573ce2d6965d1bb3bcd2b20b92ccc24d5fbfdb5659dc4bd0a3d7f",
+    ("dump",): "01911377ec6ecafb4736c040fb6ca505359931a80795ff79edeed51a1e666ee9",
+    ("dump", "--theta", "0.02", "--weights", "0.2,0.3,0.5"): "5faeb6b364f0c27a6255d643efcfb1969b35ab1f4c442ff06644bdd707cb3cbc",
+    ("verify-table1", "--json"): "809faf592ff1944d06a9ab2b02231fd0200bc980247c2590dd187da804166520",
+    ("verify-states", "--json"): "3fe4866f4abe959693bc32c739046959ccaf0da6b637b9be51fec2952e9adc59",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids="_".join)
+def test_golden_stdout(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

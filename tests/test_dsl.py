@@ -144,6 +144,13 @@ def test_bad_parameter_errors_located():
     assert (err.line, err.column) == (2, 9)
 
 
+@pytest.mark.parametrize("line", ["set theta nan", "set theta inf", "set alpha inf", "set alpha -1"])
+def test_bad_probe_setting_is_bad_parameter(line):
+    err = _error(line + "\nsource pdc2\n", elaborate_too=True)
+    assert err.kind == "bad-parameter"
+    assert "must be finite" in str(err)
+
+
 def test_statement_level_mode_reuse():
     err = _error("pbs a a -> b c\n")
     assert err.kind == "mode-reuse"

@@ -5,6 +5,7 @@ import pytest
 from ghzgen import (
     CircuitNetwork,
     DetectorGroup,
+    NetworkError,
     NetworkSettings,
     SourceSpec,
     CaseWeights,
@@ -101,19 +102,19 @@ def test_analysis_requires_trigger_and_three_pairs():
     no_trigger = CircuitNetwork(
         name="toy", elements=net.elements, detectors=net.detectors[1:]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(NetworkError):
         analyze(no_trigger)
     two_groups = CircuitNetwork(
         name="toy", elements=net.elements, detectors=net.detectors[:3]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(NetworkError):
         analyze(two_groups)
     bad_pair = CircuitNetwork(
         name="toy",
         elements=net.elements,
         detectors=net.detectors[:3] + (DetectorGroup("P3", ("t3", "t3")),),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(NetworkError):
         analyze(bad_pair)
 
 
@@ -133,3 +134,28 @@ def test_settings_defaults():
     settings = NetworkSettings()
     assert settings.noise is None
     assert build_ghzps().settings == settings
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"theta": float("nan")},
+        {"theta": float("inf")},
+        {"theta": float("-inf")},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"alpha": -1.0},
+    ],
+    ids=["theta-nan", "theta-inf", "theta-minus-inf", "alpha-nan", "alpha-inf", "alpha-negative"],
+)
+def test_settings_reject_bad_probe_values(kwargs):
+    with pytest.raises(NetworkError):
+        NetworkSettings(**kwargs)
+    # the override path builds new settings, so it is checked too
+    with pytest.raises(NetworkError):
+        build_fig3().with_overrides(**kwargs)
+
+
+def test_settings_accept_zero_probe_values():
+    settings = NetworkSettings(theta=0.0, alpha=0.0)
+    assert (settings.theta, settings.alpha) == (0.0, 0.0)

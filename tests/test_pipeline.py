@@ -7,6 +7,7 @@ import oracles
 from ghzgen import (
     CaseWeights,
     CoincidencePattern,
+    NetworkError,
     NoiseFamily,
     PHI_PLUS,
     PSI_PLUS,
@@ -265,8 +266,15 @@ def test_run_full_every_single_error_recovers():
 
 
 def test_run_full_noise_needs_generator_network():
-    with pytest.raises(ValueError):
+    with pytest.raises(NetworkError):
         run_full("X@1", network=build_ghzps())
+
+
+def test_sweep_noise_needs_generator_network():
+    # rejected up front, for every strength, before any term is run
+    for p in (0.0, 0.1):
+        with pytest.raises(NetworkError, match="generator-style"):
+            sweep_noise(p, network=build_ghzps())
 
 
 def test_sweep_noise_rows():

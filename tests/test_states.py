@@ -14,8 +14,12 @@ from ghzgen import (
     PureState,
     Rail,
     VACUUM,
+    build_fig3,
+    dual_pass_emission,
     factor_out_mode,
+    feed_forward,
     fidelity,
+    homodyne_discriminate,
     inner_product,
     joint_density,
     ket,
@@ -27,6 +31,7 @@ from ghzgen import (
     schmidt_coefficients,
     schmidt_rank,
     states_close,
+    tag_phases,
     vacuum_state,
 )
 from ghzgen.states import compose, to_json_terms
@@ -439,3 +444,123 @@ def test_property_inner_product_conjugate_symmetric(a, b):
     ba = inner_product(b, a)
     assert ab == pytest.approx(np.conj(ba), abs=1e-9)
     assert abs(ab) <= a.norm() * b.norm() + 1e-9
+
+
+# --- the apply kernel against the reference implementation ------------------
+
+_UNIVERSE = tuple(Rail(m, pol) for m in _MODES for pol in _POLS)
+_FRESH = tuple(Rail(m, pol) for m in ("o0", "o1") for pol in _POLS)
+
+
+def _isometry(rng, n_out, n_in, sparse):
+    """Random n_out x n_in matrix with orthonormal columns.  The sparse kind
+    mixes two inputs on a 2x2 unitary and routes the rest with a phase, so
+    the kernel also meets exact zeros and entries like 1/sqrt(2)."""
+    q, _ = np.linalg.qr(
+        rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in))
+    )
+    if not sparse:
+        return q
+    m = np.zeros((n_out, n_in), dtype=complex)
+    rows = rng.permutation(n_out)[:n_in]
+    for j, i in enumerate(rows):
+        m[i, j] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if n_in >= 2:
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        m[np.ix_(rows[:2], [0, 1])] = u if rng.random() < 0.5 else INV_SQRT2 * np.array(
+            [[1, 1], [1, -1]]
+        )
+    return m
+
+
+@st.composite
+def _transform_st(draw, collide=False):
+    """A transform on a random subset of the state rails.  Its outputs reuse
+    some inputs and add fresh rails; the other state rails pass through.
+    With ``collide`` one output is also a passthrough rail."""
+    in_rails = draw(st.lists(st.sampled_from(_UNIVERSE), min_size=1, max_size=4, unique=True))
+    passthrough = [r for r in _UNIVERSE if r not in in_rails]
+    pool = list(in_rails) + list(_FRESH)
+    n_out = draw(st.integers(len(in_rails), min(len(pool), len(in_rails) + 2)))
+    out_rails = draw(st.permutations(pool))[:n_out]
+    if collide:
+        out_rails[-1] = draw(st.sampled_from(passthrough))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = _isometry(rng, n_out, len(in_rails), draw(st.booleans()))
+    return ModeTransform("rand", tuple(in_rails), tuple(out_rails), m)
+
+
+def _doubled_state_st():
+    """States whose kets often hold two or three photons on one rail."""
+    entry = st.tuples(
+        st.lists(st.tuples(st.sampled_from(_UNIVERSE), st.integers(1, 3)), min_size=1, max_size=3),
+        st.floats(-1, 1, allow_nan=False),
+        st.floats(-1, 1, allow_nan=False),
+    )
+
+    def build(entries):
+        return PureState([(FockKet(occ), complex(re, im)) for occ, re, im in entries])
+
+    return st.builds(build, st.lists(entry, min_size=1, max_size=5))
+
+
+def _bits(state):
+    """Ket order plus the exact bits of every amplitude (-0.0 != 0.0)."""
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in state.terms.items()]
+
+
+def _outcome(apply, transform, state):
+    try:
+        return "state", _bits(apply(transform, state))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(st.one_of(_state_st(max_photons=4), _doubled_state_st()), _transform_st())
+def test_property_apply_is_bit_exact_to_reference(state, transform):
+    out = transform.apply(state)
+    expected = oracles.reference_apply(transform, state)
+    assert out.terms == expected.terms
+    assert _bits(out) == _bits(expected)
+
+
+@given(_state_st(max_photons=4), _transform_st(collide=True))
+def test_property_apply_collision_matches_reference(state, transform):
+    # make sure some ket sits on the colliding passthrough rail
+    state = state + ket(transform.out_rails[-1], amp=0.5)
+    got = _outcome(ModeTransform.apply, transform, state)
+    assert got == _outcome(oracles.reference_apply, transform, state)
+    assert got[0] == "error" and "already occupied" in got[1]
+
+
+def test_apply_carries_untouched_kets_over():
+    h = _hadamard("a")
+    spectator = FockKet({Rail("b", "V"): 2})
+    state = PureState({spectator: 0.6}) + ket(("a", "H"), amp=0.8)
+    out = h.apply(state)
+    assert any(k is spectator for k in out.terms)
+    assert _bits(out) == _bits(oracles.reference_apply(h, state))
+
+
+def test_apply_prunes_cancelled_amplitudes():
+    # Hong-Ou-Mandel: the split outcome cancels and must not stay as a zero
+    rails_in = (Rail("p", "H"), Rail("q", "H"))
+    rails_out = (Rail("u", "H"), Rail("v", "H"))
+    bs = ModeTransform("bs", rails_in, rails_out, np.array([[1, -1], [1, 1]]) * INV_SQRT2)
+    state = ket(("p", "H"), ("q", "H"))
+    out = bs.apply(state)
+    assert FockKet({Rail("u", "H"): 1, Rail("v", "H"): 1}) not in out.terms
+    assert _bits(out) == _bits(oracles.reference_apply(bs, state))
+
+
+def test_apply_chain_is_bit_exact_to_reference():
+    # the real fan-out and fan-in chain, on every homodyne branch
+    network = build_fig3()
+    settings = network.settings
+    tagged = tag_phases(dual_pass_emission(), network.couplings)
+    for outcome in homodyne_discriminate(tagged, theta=settings.theta, alpha=settings.alpha):
+        state = feed_forward(outcome)
+        for element in network.elements:
+            expected = oracles.reference_apply(element, state)
+            assert _bits(element.apply(state)) == _bits(expected)
+            state = expected
