@@ -24,11 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .dsl import ParseError, elaborate, parse
+from .dsl import BUILTINS, ParseError, builtin_text, elaborate, parse, pretty_print
 from .network import CircuitNetwork, NetworkError
 from .noise import format_noise_spec, parse_noise_spec
 from .pipeline import (
@@ -43,19 +41,9 @@ from .pipeline import (
 from .source import CaseWeights
 from .states import phase_fixed, to_json_terms
 
-BUILTINS = ("fig1", "fig3")
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    """A parsed invocation: the subcommand plus its typed flag values."""
-
-    command: str
-    flags: dict
 
 
 class _UsageError(Exception):
@@ -71,8 +59,7 @@ def _read_circuit(flags: dict, default_builtin: str | None) -> tuple[str, str]:
         except OSError as exc:
             raise _UsageError(f"cannot read network file: {exc}") from exc
     name = flags.get("builtin") or default_builtin
-    fixture = resources.files("ghzgen") / "fixtures" / f"{name}.onet"
-    return fixture.read_text(encoding="utf-8"), name
+    return builtin_text(name), name
 
 
 def _load_network(flags: dict, default_builtin: str) -> CircuitNetwork:
@@ -158,8 +145,7 @@ def _report_json(report: RunReport) -> dict:
     }
 
 
-def cmd_run(spec: CommandSpec) -> int:
-    flags = spec.flags
+def cmd_run(flags: dict) -> int:
     network = _load_network(flags, default_builtin="fig3")
     noise, p = _split_noise(flags.get("noise"))
     if p is not None:
@@ -180,42 +166,41 @@ def cmd_run(spec: CommandSpec) -> int:
     return EXIT_OK
 
 
-def cmd_verify(spec: CommandSpec) -> int:
-    kind = {"verify-table1": "table1", "verify-states": "states"}.get(
-        spec.command, "entanglement"
-    )
-    if kind == "table1":
-        rows = verify_correction_table()
-        passed = sum(r["passed"] for r in rows)
-        if spec.flags.get("json"):
-            print(_dump_json({"rows": rows, "passed": passed == len(rows)}))
+def cmd_verify_table1(flags: dict) -> int:
+    rows = verify_correction_table()
+    passed = sum(r["passed"] for r in rows)
+    if flags.get("json"):
+        print(_dump_json({"rows": rows, "passed": passed == len(rows)}))
+    else:
+        worst = min(r["fidelity"] for r in rows)
+        if passed == len(rows):
+            print(f"{passed}/{len(rows)} rows: corrected fidelity {worst:.12f}")
         else:
-            worst = min(r["fidelity"] for r in rows)
-            if passed == len(rows):
-                print(f"{passed}/{len(rows)} rows: corrected fidelity {worst:.12f}")
-            else:
-                first = next(r for r in rows if not r["passed"])
-                print(
-                    f"{passed}/{len(rows)} rows passed; first failure: "
-                    f"family {first['family']} pattern {first['pattern']} "
-                    f"fidelity {first['fidelity']:.12f}"
-                )
-        return EXIT_OK if passed == len(rows) else EXIT_CHECK_FAILED
+            first = next(r for r in rows if not r["passed"])
+            print(
+                f"{passed}/{len(rows)} rows passed; first failure: "
+                f"family {first['family']} pattern {first['pattern']} "
+                f"fidelity {first['fidelity']:.12f}"
+            )
+    return EXIT_OK if passed == len(rows) else EXIT_CHECK_FAILED
 
-    if kind == "states":
-        checks = verify_reference_states()
-        ok = all(c["passed"] for c in checks)
-        if spec.flags.get("json"):
-            print(_dump_json({"checks": checks, "passed": ok}))
-        else:
-            for c in checks:
-                status = "pass" if c["passed"] else "FAIL"
-                detail = f" ({c['detail']})" if c["detail"] else ""
-                print(f"{c['name']}: fidelity {c['fidelity']:.12f}{detail}: {status}")
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
 
-    network = _load_network(spec.flags, default_builtin="fig1")
-    weights = _parse_weights(spec.flags.get("weights"))
+def cmd_verify_states(flags: dict) -> int:
+    checks = verify_reference_states()
+    ok = all(c["passed"] for c in checks)
+    if flags.get("json"):
+        print(_dump_json({"checks": checks, "passed": ok}))
+    else:
+        for c in checks:
+            status = "pass" if c["passed"] else "FAIL"
+            detail = f" ({c['detail']})" if c["detail"] else ""
+            print(f"{c['name']}: fidelity {c['fidelity']:.12f}{detail}: {status}")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def cmd_analyze_entanglement(flags: dict) -> int:
+    network = _load_network(flags, default_builtin="fig1")
+    weights = _parse_weights(flags.get("weights"))
     branches = entanglement_report(network, weights=weights)
     ranks = {}
     rows = []
@@ -232,7 +217,7 @@ def cmd_verify(spec: CommandSpec) -> int:
             }
         )
     ok = ranks.get("A") == 1 and ranks.get("B") == 2
-    if spec.flags.get("json"):
+    if flags.get("json"):
         print(_dump_json({"branches": rows, "passed": ok}))
     else:
         for row in rows:
@@ -246,8 +231,7 @@ def cmd_verify(spec: CommandSpec) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(spec: CommandSpec) -> int:
-    flags = spec.flags
+def cmd_sweep(flags: dict) -> int:
     noise, p = _split_noise(flags.get("noise"))
     if noise is not None:
         raise _UsageError("sweep-noise needs a strength spec like p=0.1")
@@ -286,10 +270,7 @@ def cmd_sweep(spec: CommandSpec) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_parse(spec: CommandSpec) -> int:
-    from .dsl import pretty_print
-
-    flags = spec.flags
+def cmd_parse(flags: dict) -> int:
     if not flags.get("network") and not flags.get("builtin"):
         raise _UsageError("parse needs --network FILE or --builtin NAME")
     text, name = _read_circuit(flags, default_builtin=None)
@@ -310,8 +291,7 @@ def cmd_parse(spec: CommandSpec) -> int:
     return EXIT_OK
 
 
-def cmd_dump(spec: CommandSpec) -> int:
-    flags = spec.flags
+def cmd_dump(flags: dict) -> int:
     network = _load_network(flags, default_builtin="fig1").with_overrides(
         _parse_weights(flags.get("weights")), flags.get("theta"), flags.get("alpha")
     )
@@ -334,9 +314,10 @@ def cmd_dump(spec: CommandSpec) -> int:
 
 _HANDLERS = {
     "run": cmd_run,
-    "verify-table1": cmd_verify,
-    "verify-states": cmd_verify,
-    "analyze-entanglement": cmd_verify,
+    "verify-table1": cmd_verify_table1,
+    "verify-states": cmd_verify_states,
+    "analyze-entanglement": cmd_analyze_entanglement,
+    "verify-entanglement": cmd_analyze_entanglement,
     "sweep-noise": cmd_sweep,
     "parse": cmd_parse,
     "dump": cmd_dump,
@@ -411,12 +392,8 @@ def main(argv=None) -> int:
     namespace = parser.parse_args(argv)
     flags = vars(namespace).copy()
     command = flags.pop("command")
-    # canonical command name even when invoked through an alias
-    if command == "verify-entanglement":
-        command = "analyze-entanglement"
-    spec = CommandSpec(command=command, flags=flags)
     try:
-        return _HANDLERS[command](spec)
+        return _HANDLERS[command](flags)
     except (_UsageError, ParseError, NetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,13 +22,16 @@ be a live declared mode and every output a fresh name, and builds the
 to an equal document.
 
 The ``pdc2`` source emits on the fixed arm names a1, b1 (first pass)
-and a2, b2 (second pass).
+and a2, b2 (second pass).  ``builtin_text`` reads the packaged circuits
+(``fixtures/fig1.onet`` and ``fixtures/fig3.onet``), the one definition
+of the builtin devices.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 
 from .network import (
     CircuitNetwork,
@@ -39,10 +42,12 @@ from .network import (
 from .elements import make_bs, make_hwp45, make_hwp90, make_pbs, make_route
 from .noise import parse_noise_spec
 from .qnd import KerrCoupling
-from .source import CaseWeights
+from .source import LOWER_ARM, UPPER_ARM, CaseWeights
 from .states import H, V
 
-SOURCE_ARMS = ("a1", "b1", "a2", "b2")
+SOURCE_ARMS = UPPER_ARM + LOWER_ARM
+
+BUILTINS = ("fig1", "fig3")
 
 ERROR_KINDS = (
     "syntax",
@@ -296,6 +301,12 @@ def parse(text: str) -> DslDocument:
 def parse_file(path) -> DslDocument:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def builtin_text(name: str) -> str:
+    """Text of the packaged circuit ``name`` (one of ``BUILTINS``)."""
+    fixture = resources.files("ghzgen") / "fixtures" / f"{name}.onet"
+    return fixture.read_text(encoding="utf-8")
 
 
 # --- elaboration -----------------------------------------------------------

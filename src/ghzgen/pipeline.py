@@ -1,13 +1,16 @@
 """End-to-end GHZ generation pipeline.
 
-``build_ghzps`` wires the photon-pair fan-out stage (trigger split,
-50:50 fans, polarization merges) whose eight single-photon responses
-define the device; ``build_fig3`` appends the half-wave flips and the
-three polarization-resolving merges that turn the channel state into
-detector patterns.  ``run_full`` drives source -> Kerr tagging ->
-homodyne branch split -> feed-forward -> fan-out -> coincidence ->
-optional channel noise -> fan-in -> pattern postselection -> correction,
-and reports every branch/pattern with its exact probability chain.
+``build_ghzps`` and ``build_fig3`` elaborate the packaged circuits
+``fixtures/fig1.onet`` (the photon-pair fan-out stage: trigger split,
+50:50 fans, polarization merges, whose eight single-photon responses
+define the device) and ``fixtures/fig3.onet`` (the same fan-out plus the
+half-wave flips and the three polarization-resolving merges that turn
+the channel state into detector patterns).  Those files are the one
+definition of the builtin devices.  ``run_full`` drives source -> Kerr
+tagging -> homodyne branch split -> feed-forward -> fan-out ->
+coincidence -> optional channel noise -> fan-in -> pattern postselection
+-> correction, and reports every branch/pattern with its exact
+probability chain.
 
 States are kept exact throughout; probabilities are squared norms, never
 sampled, unless an explicit seeded sample is requested.
@@ -22,15 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import make_bs, make_hwp90, make_pbs, make_route
+from .dsl import builtin_text, elaborate, parse
+from .elements import make_hwp90
 from .network import (
     ChannelSlot,
     CircuitNetwork,
-    DetectorGroup,
     NetworkError,
     NetworkSettings,
     NetworkStructure,
-    SourceSpec,
     TRIGGER_GROUP,
     analyze,
 )
@@ -48,7 +50,6 @@ from .noise import (
 )
 from .qnd import (
     QndOutcome,
-    default_couplings,
     feed_forward,
     homodyne_discriminate,
     probe_distinguishability,
@@ -85,76 +86,19 @@ def ghz_target(modes: Sequence[str]) -> PureState:
     return out.normalized()
 
 
-def _fan_out_arm(
-    source_a: str, source_b: str, trigger: str, upper: str, tags: tuple[str, ...]
-):
-    """One pass's fan-out: trigger split on ``source_a``, 50:50 fans, one
-    half-wave flip and two polarization merges landing on three modes."""
-    va, s1, s2, bx, by, bh, bv, j1, j2 = tags
-    out1, out2, out3 = upper
-    return (
-        make_pbs(source_a, None, trigger, va),
-        make_bs(va, None, s1, s2),
-        make_hwp90(s2),
-        make_bs(source_b, None, bx, by),
-        make_pbs(bx, None, bh, bv),
-        make_pbs(bh, s1, out1, j1),
-        make_pbs(s2, bv, out2, j2),
-        make_route(by, out3),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_ghzps() -> CircuitNetwork:
-    """The fan-out network alone, detectors on the raw arm pairs.  Cached:
-    the network is frozen, and callers vary it through ``with_overrides``."""
-    upper = _fan_out_arm(
-        "a1", "b1", "T1", ("D1", "D2", "D3"),
-        ("va1", "u1", "u2", "x1", "y1", "xh", "xv", "g1", "g2"),
-    )
-    lower = _fan_out_arm(
-        "a2", "b2", "T2", ("d1", "d2", "d3"),
-        ("va2", "l1", "l2", "x2", "y2", "x2h", "x2v", "g3", "g4"),
-    )
-    return CircuitNetwork(
-        name="fig1",
-        elements=upper + lower,
-        couplings=default_couplings("a1", "a2"),
-        detectors=(
-            DetectorGroup(TRIGGER_GROUP, ("T1", "T2")),
-            DetectorGroup("P1", ("D1", "d1")),
-            DetectorGroup("P2", ("D2", "d2")),
-            DetectorGroup("P3", ("D3", "d3")),
-        ),
-        source=SourceSpec(kind="pdc2", weights=CaseWeights()),
-    )
+    """The fan-out network alone (``fig1.onet``), detectors on the raw arm
+    pairs.  Cached: the network is frozen, and callers vary it through
+    ``with_overrides``."""
+    return elaborate(parse(builtin_text("fig1")), name="fig1")
 
 
 @lru_cache(maxsize=None)
 def build_fig3() -> CircuitNetwork:
-    """The full generator: fan-out plus half-wave flips and resolving
-    merges.  Cached like ``build_ghzps``."""
-    base = build_ghzps()
-    fan_in = (
-        make_hwp90("D1"),
-        make_hwp90("D2"),
-        make_hwp90("D3"),
-        make_pbs("d1", "D1", "e1", "E1"),
-        make_pbs("d2", "D2", "e2", "E2"),
-        make_pbs("d3", "D3", "e3", "E3"),
-    )
-    return CircuitNetwork(
-        name="fig3",
-        elements=base.elements + fan_in,
-        couplings=base.couplings,
-        detectors=(
-            DetectorGroup(TRIGGER_GROUP, ("T1", "T2")),
-            DetectorGroup("P1", ("e1", "E1")),
-            DetectorGroup("P2", ("e2", "E2")),
-            DetectorGroup("P3", ("e3", "E3")),
-        ),
-        source=base.source,
-    )
+    """The full generator (``fig3.onet``): fan-out plus half-wave flips and
+    resolving merges.  Cached like ``build_ghzps``."""
+    return elaborate(parse(builtin_text("fig3")), name="fig3")
 
 
 # --- coincidence patterns and the correction table -----------------------
@@ -230,16 +174,11 @@ def lookup_correction(
     )
 
 
-_DEFAULT_SLOTS = tuple(
-    ChannelSlot(lower=f"d{k}", upper=f"D{k}", out_t=f"e{k}", out_r=f"E{k}")
-    for k in (1, 2, 3)
-)
-
-
 def postselect_coincidence(
-    state: PureState, slots: Sequence[ChannelSlot] = _DEFAULT_SLOTS
+    state: PureState, slots: Sequence[ChannelSlot]
 ) -> list[tuple[CoincidencePattern, PureState, float]]:
-    """Split a post-fan-in state over the eight output patterns.
+    """Split a post-fan-in state over the eight output patterns of the
+    channel ``slots`` (``NetworkStructure.slots``).
 
     Requires exactly one photon in the fired mode and zero in the silent
     partner of every pair (and one at the trigger, when the state still
@@ -693,7 +632,7 @@ def verify_reference_states() -> list[dict]:
         if fam.mirrored:
             continue
         state = compose(fan_in, family_state(fam))
-        fid = fidelity(state, evolved_family_literal(fam))
+        fid = fidelity(state, evolved_family_literal(fam, structure.slots))
         checks.append(
             {
                 "name": f"family {fam.label} evolution vs literal row",
@@ -749,9 +688,10 @@ EVOLVED_ROWS = {
 
 
 def evolved_family_literal(
-    family: NoiseFamily, slots: Sequence[ChannelSlot] = _DEFAULT_SLOTS
+    family: NoiseFamily, slots: Sequence[ChannelSlot]
 ) -> PureState:
-    """The literal post-fan-in state of a base (non-mirrored) family."""
+    """The literal post-fan-in state of a base (non-mirrored) family on
+    the channel ``slots``."""
     if family.mirrored:
         raise ValueError("literal rows cover the base families only")
     out = PureState()

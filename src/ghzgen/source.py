@@ -33,6 +33,8 @@ class CaseWeights:
 
     def __post_init__(self):
         w = self.as_tuple()
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError(f"case weights must be finite, got {w}")
         if any(x < 0 for x in w):
             raise ValueError(f"negative case weight in {w}")
         if abs(sum(w) - 1.0) > 1e-9:

@@ -237,15 +237,6 @@ class PureState:
                 acc[k] = acc.get(k, 0j) + aa * ab * factor
         return PureState(acc)
 
-    def map_modes(self, rename: Callable[[str], str]) -> "PureState":
-        """Relabel spatial modes through ``rename``; see
-        ``merge_spatial_modes`` for the collision-checked variant."""
-        out: dict[FockKet, complex] = {}
-        for k, a in self._terms.items():
-            new = FockKet(((Rail(rename(r.mode), r.pol), n) for r, n in k))
-            out[new] = out.get(new, 0j) + a
-        return PureState(out)
-
     def __iter__(self) -> Iterator[tuple[FockKet, complex]]:
         return iter(self.sorted_terms())
 

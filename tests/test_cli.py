@@ -84,8 +84,16 @@ def _two_group_circuit(tmp_path):
         (("run", "--network", None), "expected 3 photon detector groups"),
         (("run", "--theta", "nan"), "theta must be finite"),
         (("run", "--alpha", "inf"), "alpha must be finite and nonnegative"),
+        (("run", "--weights", "nan,0.5,0.5"), "case weights must be finite"),
     ],
-    ids=["noise-on-source-style", "negative-alpha", "two-detector-groups", "nan-theta", "inf-alpha"],
+    ids=[
+        "noise-on-source-style",
+        "negative-alpha",
+        "two-detector-groups",
+        "nan-theta",
+        "inf-alpha",
+        "nan-weight",
+    ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
     # None stands for a circuit file with only two photon detector groups

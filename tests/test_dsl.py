@@ -1,6 +1,10 @@
 """Circuit description language: parsing, elaboration, canonical text."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,7 @@ from ghzgen import (
     CaseWeights,
     DslDocument,
     ParseError,
+    analyze,
     build_fig3,
     build_ghzps,
     elaborate,
@@ -18,29 +23,43 @@ from ghzgen import (
 )
 
 FIXTURES = resources.files("ghzgen") / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fixture_doc(name):
     return parse((FIXTURES / name).read_text(encoding="utf-8"))
 
 
-# --- fixtures reproduce the programmatic builders ---------------------------
+# --- the packaged fixtures -------------------------------------------------
 
 
-def test_fan_out_fixture_matches_builder():
-    net = elaborate(_fixture_doc("fig1.onet"), name="fig1")
-    ref = build_ghzps()
-    assert net.elements == ref.elements
-    assert net.couplings == ref.couplings
-    assert net.detectors == ref.detectors
-    assert net.source == ref.source
-    assert net.settings == ref.settings
-    assert net == ref
+def test_generator_fixture_extends_fan_out():
+    fan_out = build_ghzps()
+    generator = build_fig3()
+    assert generator.elements[: analyze(generator).boundary] == fan_out.elements
+    assert generator.couplings == fan_out.couplings
+    assert generator.source == fan_out.source
+    assert generator.settings == fan_out.settings
 
 
-def test_generator_fixture_matches_builder():
-    net = elaborate(_fixture_doc("fig3.onet"), name="fig3")
-    assert net == build_fig3()
+def test_cli_import_builds_no_network():
+    code = (
+        "import ghzgen.cli, ghzgen.pipeline as p; "
+        "print(p.build_ghzps.cache_info().misses + p.build_fig3.cache_info().misses)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "0"
+
+
+def test_readme_circuit_example_elaborates():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    network = elaborate(parse(block))
+    assert network.source is not None
+    assert network.detectors
 
 
 def test_fixture_round_trip():
@@ -144,9 +163,20 @@ def test_bad_parameter_errors_located():
     assert (err.line, err.column) == (2, 9)
 
 
-@pytest.mark.parametrize("line", ["set theta nan", "set theta inf", "set alpha inf", "set alpha -1"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "set theta nan",
+        "set theta inf",
+        "set alpha inf",
+        "set alpha -1",
+        "set case_weights nan 0.5 0.5",
+        "source pdc2 weights nan 0.5 0.5",
+    ],
+)
 def test_bad_probe_setting_is_bad_parameter(line):
-    err = _error(line + "\nsource pdc2\n", elaborate_too=True)
+    text = line + "\n" if line.startswith("source") else line + "\nsource pdc2\n"
+    err = _error(text, elaborate_too=True)
     assert err.kind == "bad-parameter"
     assert "must be finite" in str(err)
 

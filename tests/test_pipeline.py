@@ -13,6 +13,7 @@ from ghzgen import (
     PSI_PLUS,
     PauliError,
     all_families,
+    analyze,
     branch_a_literal,
     branch_b_literal,
     build_fig3,
@@ -34,6 +35,10 @@ from ghzgen import (
 )
 
 TOL = 1e-12
+
+
+def _fig3_slots():
+    return analyze(build_fig3()).slots
 
 
 def test_ghz_target_literal():
@@ -116,7 +121,7 @@ def test_postselect_splits_patterns():
     vvh = ket(("E1", "V"), ("E2", "V"), ("e3", "H"))
     blocked = ket(("e1", "H", 2), ("e2", "H"), ("E3", "V"), amp=0.5)
     state = 0.5 * hhv + (0.5 + 0.5j) * vvh + blocked
-    results = postselect_coincidence(state)
+    results = postselect_coincidence(state, _fig3_slots())
     by_label = {pattern.label: (pattern, cond, p) for pattern, cond, p in results}
     assert set(by_label) == {"e1e2E3", "E1E2e3"}
 
@@ -134,7 +139,7 @@ def test_postselect_splits_patterns():
 
 def test_postselect_empty_for_non_coincident_state():
     state = ket(("e1", "H"), ("e1", "V"), ("e2", "H"))
-    assert postselect_coincidence(state) == []
+    assert postselect_coincidence(state, _fig3_slots()) == []
 
 
 # --- correction table -----------------------------------------------------
@@ -360,11 +365,11 @@ def test_evolved_family_literals_match_engine():
         state = family_state(fam)
         for element in fan_in:
             state = element.apply(state)
-        literal = evolved_family_literal(fam)
+        literal = evolved_family_literal(fam, _fig3_slots())
         assert literal.norm() == pytest.approx(1.0, abs=TOL)
         assert fidelity(state, literal) == pytest.approx(1.0, abs=TOL), fam.label
     with pytest.raises(ValueError):
-        evolved_family_literal(NoiseFamily("psi", 1, mirrored=True))
+        evolved_family_literal(NoiseFamily("psi", 1, mirrored=True), _fig3_slots())
 
 
 def test_entanglement_report_branch_structure():

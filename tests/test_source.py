@@ -69,6 +69,8 @@ def test_case_weights_validation():
         CaseWeights(0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         CaseWeights(-0.1, 0.6, 0.5)
+    with pytest.raises(ValueError, match="must be finite"):
+        CaseWeights(math.nan, 0.5, 0.5)
 
 
 def test_dual_pass_emission_structure():
