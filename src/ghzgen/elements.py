@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .states import H, V, ModeTransform, Rail
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -44,9 +42,9 @@ def make_pbs(
         routes[(in2, H)] = (out_r, H)
         routes[(in2, V)] = (out_t, V)
     in_rails = tuple(Rail(*r) for r in routes)
-    m = np.zeros((len(out_rails), len(in_rails)), dtype=complex)
+    m = [[0j] * len(in_rails) for _ in out_rails]
     for j, rail in enumerate(in_rails):
-        m[out_rails.index(Rail(*routes[rail])), j] = 1.0
+        m[out_rails.index(Rail(*routes[rail]))][j] = 1.0
     label = f"pbs({in1},{in2 or '.'}->{out_t},{out_r})"
     return ModeTransform(name=label, in_rails=in_rails, out_rails=out_rails, matrix=m)
 
@@ -57,26 +55,26 @@ def make_bs(in1: str, in2: str | None, out1: str, out2: str) -> ModeTransform:
     in_modes = (in1,) if in2 is None else (in1, in2)
     in_rails = tuple(Rail(m, p) for m in in_modes for p in (H, V))
     out_rails = tuple(Rail(m, p) for m in (out1, out2) for p in (H, V))
-    m = np.zeros((len(out_rails), len(in_rails)), dtype=complex)
+    m = [[0j] * len(in_rails) for _ in out_rails]
     for p_i, pol in enumerate((H, V)):
-        m[0 + p_i, 0 + p_i] = _INV_SQRT2  # in1 -> out1
-        m[2 + p_i, 0 + p_i] = _INV_SQRT2  # in1 -> out2
+        m[0 + p_i][0 + p_i] = _INV_SQRT2  # in1 -> out1
+        m[2 + p_i][0 + p_i] = _INV_SQRT2  # in1 -> out2
         if in2 is not None:
-            m[0 + p_i, 2 + p_i] = -_INV_SQRT2  # in2 -> out1, reflection sign
-            m[2 + p_i, 2 + p_i] = _INV_SQRT2  # in2 -> out2
+            m[0 + p_i][2 + p_i] = -_INV_SQRT2  # in2 -> out1, reflection sign
+            m[2 + p_i][2 + p_i] = _INV_SQRT2  # in2 -> out2
     label = f"bs({in1},{in2 or '.'}->{out1},{out2})"
     return ModeTransform(name=label, in_rails=in_rails, out_rails=out_rails, matrix=m)
 
 
 def make_hwp45(mode: str) -> ModeTransform:
     rails = (Rail(mode, H), Rail(mode, V))
-    m = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
+    m = [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]
     return ModeTransform(name=f"hwp45({mode})", in_rails=rails, out_rails=rails, matrix=m)
 
 
 def make_hwp90(mode: str) -> ModeTransform:
     rails = (Rail(mode, H), Rail(mode, V))
-    m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    m = [[0.0, 1.0], [1.0, 0.0]]
     return ModeTransform(name=f"hwp90({mode})", in_rails=rails, out_rails=rails, matrix=m)
 
 
@@ -89,5 +87,5 @@ def make_route(src: str, dst: str) -> ModeTransform:
         name=f"route({src}->{dst})",
         in_rails=in_rails,
         out_rails=out_rails,
-        matrix=np.eye(2, dtype=complex),
+        matrix=[[1.0, 0.0], [0.0, 1.0]],
     )

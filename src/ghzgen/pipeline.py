@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .dsl import builtin_text, elaborate, parse
 from .elements import make_hwp90
@@ -71,6 +69,9 @@ from .states import (
     reduced_density,
     schmidt_coefficients,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GHZ_WORDS = ("HHV", "VVH")
 
@@ -328,6 +329,8 @@ class RunReport:
 
 
 def _entanglement_summary(state: PureState, positions) -> dict:
+    import numpy as np
+
     part = Bipartition.pol_vs_spatial(positions)
     coeffs = schmidt_coefficients(state, part)
     rho_pol = reduced_density(state, part, keep="left")
@@ -408,7 +411,11 @@ def run_full(
     errors = parse_noise_spec(noise) if isinstance(noise, str) else tuple(noise or ())
     if errors and structure.style != "generator":
         raise NetworkError("channel noise needs a generator-style network")
-    rng = np.random.default_rng(seed) if sample else None
+    rng = None
+    if sample:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
     branches = branch_states(network, structure, rng=rng)
     positions = structure.positions
     fan_in = network.elements[structure.boundary :]

@@ -17,13 +17,15 @@ according to its case, including the double-occupation kets.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .states import FockKet, PureState, Rail
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_THETA = 0.01
 DEFAULT_ALPHA = math.sqrt(1e5)
@@ -127,7 +129,7 @@ def homodyne_discriminate(
         phi = alpha * math.sin(theta) * (x - mean) if branch == "A" else 0.0
         if phi:
             part = PureState(
-                {k: amp * complex(np.exp(1j * signs[k] * phi)) for k, amp in part.terms.items()}
+                {k: amp * cmath.exp(1j * signs[k] * phi) for k, amp in part.terms.items()}
             )
         outcomes.append(
             QndOutcome(
@@ -152,7 +154,7 @@ def feed_forward(outcome: QndOutcome) -> PureState:
     phi = outcome.phi
     return PureState(
         {
-            k: amp * complex(np.exp(-1j * outcome.tag_signs[k] * phi))
+            k: amp * cmath.exp(-1j * outcome.tag_signs[k] * phi)
             for k, amp in outcome.conditional.terms.items()
         }
     )

@@ -13,15 +13,20 @@ Conventions:
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
+  * the state algebra and the element matrices are plain Python; numpy is
+    imported only by the Schmidt and density-operator diagnostics (and by
+    ``ModeTransform.matrix``), where they run
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 H = "H"
 V = "V"
@@ -50,10 +55,11 @@ class FockKet:
     """Occupation-number ket over rails, canonically ordered and hashable.
 
     Stored as a tuple of (rail, count) pairs sorted by (mode, pol) with all
-    counts positive; the empty tuple is the vacuum.
+    counts positive; the empty tuple is the vacuum.  The hash is computed
+    once, at construction.
     """
 
-    __slots__ = ("_occ",)
+    __slots__ = ("_occ", "_hash")
 
     def __init__(self, occupations: Mapping[Rail, int] | Iterable[tuple] = ()):
         if isinstance(occupations, Mapping):
@@ -69,6 +75,7 @@ class FockKet:
             if count:
                 merged[rail] = merged.get(rail, 0) + count
         self._occ = tuple(sorted(merged.items()))
+        self._hash = hash(self._occ)
 
     @classmethod
     def _canonical(cls, occ: tuple[tuple[Rail, int], ...]) -> "FockKet":
@@ -77,7 +84,13 @@ class FockKet:
         validation.  For engine internals only."""
         k = object.__new__(cls)
         k._occ = occ
+        k._hash = hash(occ)
         return k
+
+    def __reduce__(self):
+        # rebuild through _canonical so the hash is recomputed in the
+        # unpickling interpreter (string hashes differ between processes)
+        return FockKet._canonical, (self._occ,)
 
     @property
     def occupations(self) -> tuple[tuple[Rail, int], ...]:
@@ -124,7 +137,7 @@ class FockKet:
         return isinstance(other, FockKet) and self._occ == other._occ
 
     def __hash__(self) -> int:
-        return hash(self._occ)
+        return self._hash
 
     def __lt__(self, other: "FockKet") -> bool:
         return self._occ < other._occ
@@ -146,7 +159,9 @@ class PureState:
     """Sparse complex superposition of Fock kets.
 
     Supports linear arithmetic (+, -, scalar *), the bosonic tensor product,
-    and deterministic iteration.  Not implicitly normalized.
+    and deterministic iteration.  Not implicitly normalized.  The public
+    constructor raises ``ValueError`` on a NaN or infinite amplitude, which
+    pruning would otherwise drop without a word.
     """
 
     __slots__ = ("_terms",)
@@ -162,6 +177,9 @@ class PureState:
                 k = FockKet(k)
             amp = complex(amp)
             acc[k] = acc.get(k, 0j) + amp
+        if not all(map(cmath.isfinite, acc.values())):
+            bad = next(k for k, a in acc.items() if not cmath.isfinite(a))
+            raise ValueError(f"non-finite amplitude {acc[bad]} on {bad}")
         self._terms = {k: a for k, a in acc.items() if abs(a) > PRUNE_TOL}
 
     @classmethod
@@ -314,7 +332,19 @@ def phase_fixed(state: PureState) -> PureState:
 # --- optical-element transforms ----------------------------------------
 
 
-@dataclass(frozen=True)
+def _orthonormal(columns: Sequence[Sequence[complex]]) -> bool:
+    """Whether the Gram matrix of ``columns`` is the identity, by the rule
+    of ``np.allclose(gram, eye, atol=ISOMETRY_TOL)``: each entry within
+    ISOMETRY_TOL, plus a relative 1e-5 on the diagonal."""
+    for a, col_a in enumerate(columns):
+        for b in range(a, len(columns)):
+            delta = 1.0 if a == b else 0.0
+            g = sum(x.conjugate() * y for x, y in zip(col_a, columns[b]))
+            if not abs(g - delta) <= ISOMETRY_TOL + 1e-5 * delta:
+                return False
+    return True
+
+
 class ModeTransform:
     """Linear-optical element acting on a fixed tuple of input rails.
 
@@ -322,41 +352,78 @@ class ModeTransform:
     ``out_rails[i]``: a†(in_j) -> sum_i matrix[i, j] a†(out_i).  The matrix
     must be an isometry (orthonormal columns); square elements are unitary,
     rectangular ones model elements with an unused vacuum port.
+
+    The matrix is kept as ``rows``, a tuple of rows of Python complex
+    numbers; ``matrix`` is the same matrix as a read-only ndarray, built
+    on first access.  Instances are immutable and hashable.
     """
 
-    name: str
-    in_rails: tuple[Rail, ...]
-    out_rails: tuple[Rail, ...]
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = (
+        "name", "in_rails", "out_rails", "rows", "_matrix", "_in_index", "_out_set", "_columns"
+    )
 
-    def __post_init__(self):
-        in_rails = tuple(_as_rail(r) for r in self.in_rails)
-        out_rails = tuple(_as_rail(r) for r in self.out_rails)
-        object.__setattr__(self, "in_rails", in_rails)
-        object.__setattr__(self, "out_rails", out_rails)
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(out_rails), len(in_rails)):
+    def __init__(
+        self,
+        name: str,
+        in_rails: Iterable,
+        out_rails: Iterable,
+        matrix: Iterable[Iterable[complex]],
+    ):
+        in_rails = tuple(_as_rail(r) for r in in_rails)
+        out_rails = tuple(_as_rail(r) for r in out_rails)
+        try:
+            rows = tuple(tuple(complex(u) for u in row) for row in matrix)
+        except TypeError:
+            rows = None
+        if (
+            rows is None
+            or len(rows) != len(out_rails)
+            or any(len(row) != len(in_rails) for row in rows)
+        ):
             raise ValueError(
-                f"{self.name}: matrix shape {m.shape} does not match "
+                f"{name}: matrix shape does not match "
                 f"{len(out_rails)} outputs x {len(in_rails)} inputs"
             )
         if len(set(in_rails)) != len(in_rails):
-            raise ValueError(f"{self.name}: duplicate input rail")
+            raise ValueError(f"{name}: duplicate input rail")
         if len(set(out_rails)) != len(out_rails):
-            raise ValueError(f"{self.name}: duplicate output rail")
-        gram = m.conj().T @ m
-        if not np.allclose(gram, np.eye(len(in_rails)), atol=ISOMETRY_TOL):
-            raise ValueError(f"{self.name}: columns are not orthonormal")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+            raise ValueError(f"{name}: duplicate output rail")
+        columns = [tuple(row[j] for row in rows) for j in range(len(in_rails))]
+        if not _orthonormal(columns):
+            raise ValueError(f"{name}: columns are not orthonormal")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "in_rails", in_rails)
+        object.__setattr__(self, "out_rails", out_rails)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_matrix", None)
         # apply's plan: per input column, the nonzero (output index,
-        # amplitude) entries in output order, as Python complex numbers
-        columns = tuple(
-            tuple((i, u) for i, u in enumerate(column) if u != 0) for column in m.T.tolist()
-        )
+        # amplitude) entries in output order
         object.__setattr__(self, "_in_index", {r: j for j, r in enumerate(in_rails)})
         object.__setattr__(self, "_out_set", frozenset(out_rails))
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(
+            self,
+            "_columns",
+            tuple(tuple((i, u) for i, u in enumerate(c) if u != 0) for c in columns),
+        )
+
+    def __setattr__(self, attr, *_):
+        raise AttributeError(f"ModeTransform is immutable; cannot set {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ModeTransform, (self.name, self.in_rails, self.out_rails, self.rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            import numpy as np
+
+            m = np.array(self.rows, dtype=complex)
+            m = m.reshape(len(self.out_rails), len(self.in_rails))
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeTransform):
@@ -365,11 +432,17 @@ class ModeTransform:
             self.name == other.name
             and self.in_rails == other.in_rails
             and self.out_rails == other.out_rails
-            and np.array_equal(self.matrix, other.matrix)
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.in_rails, self.out_rails, self.matrix.tobytes()))
+        return hash((self.name, self.in_rails, self.out_rails, self.rows))
+
+    def __repr__(self) -> str:
+        return (
+            f"ModeTransform(name={self.name!r}, in_rails={self.in_rails!r}, "
+            f"out_rails={self.out_rails!r})"
+        )
 
     def apply(self, state: PureState) -> PureState:
         """Rewrite every creation operator on an input rail through the
@@ -569,6 +642,8 @@ class Bipartition:
         self, state: PureState
     ) -> tuple[list, list, np.ndarray]:
         """Amplitudes arranged as M[left, right] over the state's support."""
+        import numpy as np
+
         left_labels: list = []
         right_labels: list = []
         entries: list[tuple[int, int, complex]] = []
@@ -593,6 +668,8 @@ def schmidt_coefficients(
     state: PureState, part: Bipartition, tol: float = SCHMIDT_TOL
 ) -> tuple[float, ...]:
     """Singular values of the normalized state across ``part``, pruned."""
+    import numpy as np
+
     _, _, m = part.coefficient_matrix(state.normalized())
     svals = np.linalg.svd(m, compute_uv=False)
     return tuple(float(s) for s in svals if s > tol)
@@ -613,6 +690,8 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (len(self.labels), len(self.labels)):
             raise ValueError("matrix shape does not match label count")
@@ -622,16 +701,18 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":
+        import numpy as np
+
         terms = state.normalized().sorted_terms()
         labels = tuple(k for k, _ in terms)
         v = np.array([a for _, a in terms], dtype=complex)
         return cls(labels=labels, matrix=np.outer(v, v.conj()))
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return float((self.matrix @ self.matrix).trace().real)
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.matrix.trace().real)
 
 
 def reduced_density(
@@ -662,6 +743,8 @@ def partial_trace(
     ``keep`` is "polarization" or "spatial" for a pol_vs_spatial split
     ("left"/"right" work for any split).  Trace is preserved.
     """
+    import numpy as np
+
     side = {"polarization": 0, "left": 0, "spatial": 1, "right": 1}.get(keep)
     if side is None:
         raise ValueError(f"keep must name a side of the split, got {keep!r}")
@@ -689,6 +772,8 @@ def joint_density(state: PureState, part: Bipartition) -> DensityOperator:
     """Pure-state density matrix in the product basis induced by ``part``,
     with labels (left, right).  Basis order is left-major, matching
     ``np.kron(reduced_left, reduced_right)``."""
+    import numpy as np
+
     left_labels, right_labels, m = part.coefficient_matrix(state.normalized())
     v = m.reshape(-1)
     labels = tuple((l, r) for l in left_labels for r in right_labels)

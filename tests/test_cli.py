@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -386,7 +390,30 @@ GOLDEN_STDOUT = {
     ("dump", "--theta", "0.02", "--weights", "0.2,0.3,0.5"): "5faeb6b364f0c27a6255d643efcfb1969b35ab1f4c442ff06644bdd707cb3cbc",
     ("verify-table1", "--json"): "809faf592ff1944d06a9ab2b02231fd0200bc980247c2590dd187da804166520",
     ("verify-states", "--json"): "3fe4866f4abe959693bc32c739046959ccaf0da6b637b9be51fec2952e9adc59",
+    ("analyze-entanglement", "--json"): "1b04e238aecfa52197efa309b0cdd68be2f62e38b6030d03fb1cc2128d509a0f",
+    ("verify-entanglement", "--json"): "1b04e238aecfa52197efa309b0cdd68be2f62e38b6030d03fb1cc2128d509a0f",
+    ("parse", "--builtin", "fig3", "--json"): "b1e65635cf8ee6b381a1c18e44ccd0867c0104a4a18493988138fdea44ba70bc",
+    ("sweep-noise", "--json", "--noise", "p=0.3"): "1a648042473361d276dd52342635d7b9af5cbff9ca51e7931a009d4a9ffb26cd",
 }
+
+
+def test_commands_without_diagnostics_leave_numpy_unloaded():
+    # numpy backs only the Schmidt/density diagnostics and --sample; the
+    # other commands must not pay its import in a fresh interpreter
+    code = (
+        "import contextlib, io, sys\n"
+        "import ghzgen.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in (['run'], ['dump'], ['verify-table1'], ['parse', '--builtin', 'fig3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.split() == ["False"] * 5
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids="_".join)

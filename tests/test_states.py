@@ -1,10 +1,15 @@
 """Sparse Fock-state engine: containers, algebra, evolution, reductions."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ghzgen import (
     Bipartition,
@@ -34,7 +39,7 @@ from ghzgen import (
     tag_phases,
     vacuum_state,
 )
-from ghzgen.states import compose, to_json_terms
+from ghzgen.states import ISOMETRY_TOL, compose, to_json_terms
 
 import oracles
 
@@ -74,6 +79,42 @@ def test_fock_ket_queries():
     assert merged.occupancy(Rail("b", "H")) == 2
 
 
+def test_fock_ket_hash_is_the_occupation_hash():
+    k = FockKet({Rail("b", "V"): 1, Rail("a", "H"): 2})
+    assert hash(k) == hash(k.occupations)
+    assert hash(FockKet._canonical(k.occupations)) == hash(k)
+    assert hash(VACUUM) == hash(())
+
+
+def test_fock_ket_pickle_round_trip():
+    k = FockKet({Rail("b", "V"): 1, Rail("a", "H"): 2})
+    back = pickle.loads(pickle.dumps(k))
+    assert back == k and hash(back) == hash(k)
+    assert {k: "found"}[back] == "found"
+    state = ket(("a", "H"), amp=0.6) + ket(("a", "V"), amp=0.8j)
+    assert pickle.loads(pickle.dumps(state)) == state
+
+
+def test_fock_ket_unpickled_from_another_interpreter_keeps_dict_lookup():
+    # string hashes differ between interpreters: a ket pickled under another
+    # hash seed must hash by this interpreter's rules once loaded
+    code = (
+        "import pickle, sys; from ghzgen import FockKet, ket; "
+        "k = FockKet({('b', 'V'): 1, ('a', 'H'): 2}); "
+        "sys.stdout.buffer.write(pickle.dumps((k, ket(('a', 'H'), amp=0.6))))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="12345")
+    blob = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, check=True
+    ).stdout
+    k, state = pickle.loads(blob)
+    here = FockKet({Rail("b", "V"): 1, Rail("a", "H"): 2})
+    assert hash(k) == hash(here) == hash(k.occupations)
+    assert {here: "found"}[k] == "found"
+    assert state.amplitude(FockKet({Rail("a", "H"): 1})) == 0.6
+
+
 def test_vacuum():
     assert VACUUM.total() == 0
     assert vacuum_state().amplitude(VACUUM) == 1.0
@@ -91,6 +132,27 @@ def test_pure_state_algebra_and_pruning():
 def test_pure_state_prunes_tiny_amplitudes():
     s = ket(("a", "H")) + ket(("a", "V"), amp=1e-13)
     assert s.num_terms() == 1
+
+
+@pytest.mark.parametrize(
+    "amp",
+    [float("nan"), float("inf"), complex(0.5, float("-inf")), complex(float("nan"), 0.0)],
+    ids=["nan", "inf", "imag-inf", "real-nan"],
+)
+def test_pure_state_rejects_non_finite_amplitude(amp):
+    a = FockKet({Rail("a", "H"): 1})
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        PureState({a: amp})
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        ket(("a", "V")) + ket(("a", "H"), amp=amp)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        ket(("a", "H")) * amp
+
+
+def test_pure_state_rejects_overflowing_sum():
+    big = ket(("a", "H"), amp=1e308)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        big + big
 
 
 def test_ket_with_counts():
@@ -163,6 +225,35 @@ def test_transform_rejects_duplicate_rails():
     r = Rail("a", "H")
     with pytest.raises(ValueError):
         ModeTransform("bad", (r, r), (Rail("b", "H"), Rail("c", "H")), np.eye(2))
+
+
+def test_transform_isometry_rule():
+    # the np.allclose rule: ISOMETRY_TOL on every Gram entry, plus a
+    # relative 1e-5 on the diagonal only
+    one = (Rail("a", "H"),)
+    ModeTransform("ok", one, one, [[math.sqrt(1 + 5e-6)]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ModeTransform("bad", one, one, [[math.sqrt(1 + 2e-5)]])
+    two = (Rail("a", "H"), Rail("a", "V"))
+    eps = 1e-8
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ModeTransform("bad", two, two, [[1.0, eps], [0.0, math.sqrt(1 - eps**2)]])
+
+
+def test_transform_is_immutable_hashable_and_pickles():
+    h = _hadamard("a")
+    assert h.rows == ((INV_SQRT2 + 0j, INV_SQRT2 + 0j), (INV_SQRT2 + 0j, -INV_SQRT2 + 0j))
+    assert h.matrix.tolist() == [list(row) for row in h.rows]
+    assert not h.matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        h.name = "other"
+    same = ModeTransform("had", h.in_rails, h.out_rails, [list(row) for row in h.rows])
+    assert same == h and hash(same) == hash(h)
+    assert ModeTransform("had", h.in_rails, h.out_rails, np.eye(2)) != h
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.rows == h.rows
+    state = ket(("a", "H"), amp=0.8) + ket(("a", "V"), amp=0.6)
+    assert back.apply(state) == h.apply(state)
 
 
 def test_apply_hadamard_twice_is_identity():
@@ -471,6 +562,36 @@ def _isometry(rng, n_out, n_in, sparse):
             [[1, 1], [1, -1]]
         )
     return m
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(-7, -1)),
+)
+def test_property_isometry_check_agrees_with_allclose(n_in, extra, seed, sparse, log_eps):
+    # random isometries, and the same perturbed by 1e-7 .. 1e-1 in one entry
+    n_out = n_in + extra
+    rng = np.random.default_rng(seed)
+    m = _isometry(rng, n_out, n_in, sparse)
+    if log_eps is not None:
+        m[rng.integers(n_out), rng.integers(n_in)] += 10**log_eps * np.exp(
+            1j * rng.uniform(0, 2 * np.pi)
+        )
+    gram, eye = m.conj().T @ m, np.eye(n_in)
+    # keep clear of the tolerance boundary, where summation order decides
+    margin = np.max(np.abs(gram - eye) - (ISOMETRY_TOL + 1e-5 * eye))
+    assume(abs(margin) > 1e-12)
+    in_rails = _UNIVERSE[:n_in]
+    out_rails = tuple(Rail(f"o{i}", "H") for i in range(n_out))
+    try:
+        ModeTransform("t", in_rails, out_rails, m)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == np.allclose(gram, eye, atol=ISOMETRY_TOL)
 
 
 @st.composite
