@@ -13,10 +13,10 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
 circuit-parse or network errors (a wrong detector structure, a
-non-finite or negative probe setting, or noise on a source-style
-network).  JSON output is byte-deterministic for fixed
-inputs and seed: keys are sorted and floats use their shortest
-round-trip form.
+non-finite, negative or overflowing probe setting, noise on a
+source-style network, or a sweep with no mixed-pass branch).  JSON
+output is byte-deterministic for fixed inputs and seed: keys are sorted
+and floats use their shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _read_circuit(flags: dict, default_builtin: str | None) -> tuple[str, str]:
     if path is not None:
         try:
             return Path(path).read_text(encoding="utf-8"), Path(path).stem
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read network file: {exc}") from exc
     name = flags.get("builtin") or default_builtin
     return builtin_text(name), name
@@ -153,6 +153,8 @@ def cmd_run(flags: dict) -> int:
             "a depolarization strength (p=...) only applies to sweep-noise; "
             "give run an explicit error list like X@1,Z@3"
         )
+    if flags["seed"] < 0:
+        raise _UsageError(f"the sampling seed must be nonnegative, got {flags['seed']}")
     report = run_full(
         noise,
         network=network,
@@ -160,7 +162,7 @@ def cmd_run(flags: dict) -> int:
         theta=flags.get("theta"),
         alpha=flags.get("alpha"),
         sample=bool(flags.get("sample")),
-        seed=flags.get("seed") or 0,
+        seed=flags["seed"],
     )
     print(_dump_json(_report_json(report)))
     return EXIT_OK

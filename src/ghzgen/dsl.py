@@ -95,15 +95,6 @@ class Statement:
 class DslDocument:
     statements: tuple[Statement, ...]
 
-    def __iter__(self):
-        return iter(self.statements)
-
-    def setting(self, key: str):
-        for stmt in self.statements:
-            if stmt.kind == "set" and stmt.args[0] == key:
-                return stmt.args[1]
-        return None
-
 
 @dataclass
 class _Token:
@@ -296,11 +287,6 @@ def parse(text: str) -> DslDocument:
             stmt = _parse_element(head, toks, lineno)
         statements.append(stmt)
     return DslDocument(statements=tuple(statements))
-
-
-def parse_file(path) -> DslDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
 
 
 def builtin_text(name: str) -> str:

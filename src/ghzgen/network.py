@@ -25,9 +25,9 @@ TRIGGER_GROUP = "T"
 
 class NetworkError(ValueError):
     """A network or its settings cannot serve the requested run: a wrong
-    detector structure, a non-finite or negative probe setting, or an
-    operation the network's style does not support.  Bad input, not an
-    engine fault."""
+    detector structure, a non-finite, negative or overflowing probe
+    setting, or an operation the network's style or weights do not
+    support.  Bad input, not an engine fault."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ class NetworkSettings:
             raise NetworkError(f"theta must be finite, got {self.theta!r}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise NetworkError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
+        if math.isinf(self.alpha * self.alpha):
+            raise NetworkError(f"alpha squared must be finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .network import (
     NetworkError,
     NetworkSettings,
     NetworkStructure,
-    TRIGGER_GROUP,
     analyze,
 )
 from .noise import (
@@ -107,7 +106,7 @@ def build_fig3() -> CircuitNetwork:
 
 @dataclass(frozen=True)
 class CoincidencePattern:
-    """Which output mode fired for each photon (plus the trigger).
+    """Which output mode fired for each photon.
 
     ``shape`` records the structural choice per photon: "t" for the
     resolving merge's transmitted output, "r" for the reflected one.
@@ -115,22 +114,10 @@ class CoincidencePattern:
 
     modes: tuple[str, str, str]
     shape: tuple[str, str, str]
-    trigger: str = TRIGGER_GROUP
 
     @property
     def label(self) -> str:
         return "".join(self.modes)
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return (self.trigger,) + self.modes
-
-
-@dataclass(frozen=True)
-class CorrectionRule:
-    family: NoiseFamily | str
-    pattern: CoincidencePattern
-    ops: tuple[str, str, str]
 
 
 # per family: the two reachable shapes and their per-photon corrections
@@ -147,7 +134,7 @@ _PHI_ROWS = ((("t", "t", "r"), ("I", "I", "I")), (("r", "r", "t"), ("I", "I", "I
 
 def lookup_correction(
     family: NoiseFamily | str, pattern: CoincidencePattern
-) -> CorrectionRule:
+) -> tuple[str, str, str]:
     """Per-photon operators recovering the GHZ target for this outcome.
 
     A mirrored family reaches the same two patterns as its base family
@@ -166,9 +153,9 @@ def lookup_correction(
     if mirrored:
         ops_a, ops_b = ops_b, ops_a
     if pattern.shape == shape_a:
-        return CorrectionRule(family=family, pattern=pattern, ops=ops_a)
+        return ops_a
     if pattern.shape == shape_b:
-        return CorrectionRule(family=family, pattern=pattern, ops=ops_b)
+        return ops_b
     raise ValueError(
         f"pattern {pattern.label} is unreachable for this family "
         "(upstream wiring bug?)"
@@ -182,14 +169,9 @@ def postselect_coincidence(
     channel ``slots`` (``NetworkStructure.slots``).
 
     Requires exactly one photon in the fired mode and zero in the silent
-    partner of every pair (and one at the trigger, when the state still
-    carries it).  Returns only patterns with nonzero probability, each
-    with its normalized conditional state.
+    partner of every pair.  Returns only patterns with nonzero
+    probability, each with its normalized conditional state.
     """
-    state_modes = set()
-    for k, _ in state.sorted_terms():
-        state_modes.update(k.modes())
-    needs_trigger = TRIGGER_GROUP in state_modes
     results = []
     for shape in iter_product("tr", repeat=3):
         chosen = tuple(
@@ -200,8 +182,6 @@ def postselect_coincidence(
         )
         groups: list[tuple[tuple[str, ...], int]] = [((m,), 1) for m in chosen]
         groups.extend(((m,), 0) for m in silent)
-        if needs_trigger:
-            groups.append(((TRIGGER_GROUP,), 1))
         conditional, prob = project_occupancy(state, groups)
         if prob > 0.0:
             pattern = CoincidencePattern(modes=chosen, shape=tuple(shape))
@@ -379,7 +359,7 @@ def _resolve(
     Yields (pattern, pattern probability, ops, corrected state, fidelity).
     """
     for pattern, cond, p_pat in postselect_coincidence(compose(fan_in, state), slots):
-        ops = lookup_correction(family, pattern).ops
+        ops = lookup_correction(family, pattern)
         corrected = apply_corrections(cond, pattern, ops)
         fid = fidelity(corrected, ghz_target(pattern.modes))
         yield pattern, p_pat, ops, corrected, fid
@@ -549,6 +529,8 @@ def sweep_noise(
             errors, network=network, weights=weights, theta=theta, alpha=alpha
         )
         channel = [e for e in report.entries if e.branch == "B"]
+        if not channel:
+            raise NetworkError("the noise sweep needs a nonzero mixed-pass weight")
         prob = sum(e.pattern_probability for e in channel)
         noisy = apply_errors(target, errors)
         rows.append(

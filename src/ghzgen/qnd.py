@@ -30,8 +30,7 @@ if TYPE_CHECKING:
 DEFAULT_THETA = 0.01
 DEFAULT_ALPHA = math.sqrt(1e5)
 
-# homodyne tag classes, in units of theta
-_ALLOWED_TAGS = (-1.0, 0.0, 1.0)
+# how far a ket's tag may sit from the classes -1, 0, 1 (units of theta)
 _TAG_TOL = 1e-9
 
 

@@ -96,22 +96,6 @@ class FockKet:
     def occupations(self) -> tuple[tuple[Rail, int], ...]:
         return self._occ
 
-    def occupancy(self, rail) -> int:
-        rail = _as_rail(rail)
-        for r, n in self._occ:
-            if r == rail:
-                return n
-        return 0
-
-    def rails(self) -> tuple[Rail, ...]:
-        return tuple(r for r, _ in self._occ)
-
-    def modes(self) -> set[str]:
-        return {r.mode for r, _ in self._occ}
-
-    def total(self) -> int:
-        return sum(n for _, n in self._occ)
-
     def count_in_modes(self, modes: Iterable[str]) -> int:
         mode_set = set(modes)
         return sum(n for r, n in self._occ if r.mode in mode_set)
@@ -123,12 +107,6 @@ class FockKet:
     def drop_modes(self, modes: Iterable[str]) -> "FockKet":
         mode_set = set(modes)
         return FockKet((r, n) for r, n in self._occ if r.mode not in mode_set)
-
-    def merge(self, other: "FockKet") -> "FockKet":
-        combined = dict(self._occ)
-        for r, n in other._occ:
-            combined[r] = combined.get(r, 0) + n
-        return FockKet(combined)
 
     def __iter__(self) -> Iterator[tuple[Rail, int]]:
         return iter(self._occ)
@@ -150,9 +128,6 @@ class FockKet:
             label = f"{rail.pol}@{rail.mode}"
             parts.append(label if n == 1 else f"{n}x{label}")
         return "|" + " ".join(parts) + ">"
-
-
-VACUUM = FockKet()
 
 
 class PureState:
@@ -289,10 +264,6 @@ def ket(*rails, amp: complex = 1.0) -> PureState:
     return PureState({FockKet(occ): amp})
 
 
-def vacuum_state() -> PureState:
-    return PureState({VACUUM: 1.0})
-
-
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> over the shared sparse support."""
     if a.num_terms() > b.num_terms():
@@ -311,12 +282,6 @@ def fidelity(a: PureState, b: PureState) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return abs(inner_product(a, b)) ** 2 / (na * nb) ** 2
-
-
-def states_close(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Amplitude-wise comparison, phase sensitive."""
-    keys = set(a._terms) | set(b._terms)
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)
 
 
 def phase_fixed(state: PureState) -> PureState:
@@ -587,13 +552,10 @@ def factor_out_mode(state: PureState, mode: str) -> tuple[FockKet, PureState]:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A rule splitting each ket into (left, right) factor labels.
-
-    Two constructors cover the protocol's needs: polarization versus path
-    for single-photon positions, and a left/right split of spatial modes.
+    """A rule splitting each ket into (left, right) factor labels;
+    ``pol_vs_spatial`` builds the protocol's polarization-versus-path split.
     """
 
-    name: str
     splitter: Callable[[FockKet], tuple]
 
     @classmethod
@@ -619,24 +581,7 @@ class Bipartition:
                 raise ValueError(f"{k} has photons outside the positions")
             return tuple(pols), tuple(modes)
 
-        return cls(name="pol|spatial", splitter=split)
-
-    @classmethod
-    def mode_split(
-        cls, left_modes: Iterable[str], right_modes: Iterable[str]
-    ) -> "Bipartition":
-        left = frozenset(left_modes)
-        right = frozenset(right_modes)
-        if left & right:
-            raise ValueError("left and right mode sets overlap")
-
-        def split(k: FockKet) -> tuple:
-            for r, _ in k:
-                if r.mode not in left and r.mode not in right:
-                    raise ValueError(f"mode {r.mode!r} is in neither side")
-            return k.restrict(left), k.restrict(right)
-
-        return cls(name="mode-split", splitter=split)
+        return cls(splitter=split)
 
     def coefficient_matrix(
         self, state: PureState
@@ -664,22 +609,13 @@ class Bipartition:
         return left_labels, right_labels, m
 
 
-def schmidt_coefficients(
-    state: PureState, part: Bipartition, tol: float = SCHMIDT_TOL
-) -> tuple[float, ...]:
+def schmidt_coefficients(state: PureState, part: Bipartition) -> tuple[float, ...]:
     """Singular values of the normalized state across ``part``, pruned."""
     import numpy as np
 
     _, _, m = part.coefficient_matrix(state.normalized())
     svals = np.linalg.svd(m, compute_uv=False)
-    return tuple(float(s) for s in svals if s > tol)
-
-
-def schmidt_rank(
-    state: PureState, part: Bipartition
-) -> tuple[int, tuple[float, ...]]:
-    coeffs = schmidt_coefficients(state, part)
-    return len(coeffs), coeffs
+    return tuple(float(s) for s in svals if s > SCHMIDT_TOL)
 
 
 @dataclass(frozen=True)
@@ -699,20 +635,8 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        import numpy as np
-
-        terms = state.normalized().sorted_terms()
-        labels = tuple(k for k, _ in terms)
-        v = np.array([a for _, a in terms], dtype=complex)
-        return cls(labels=labels, matrix=np.outer(v, v.conj()))
-
     def purity(self) -> float:
         return float((self.matrix @ self.matrix).trace().real)
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
 
 
 def reduced_density(
@@ -733,39 +657,6 @@ def reduced_density(
     else:
         raise ValueError("keep must be 'left' or 'right'")
     return DensityOperator(labels=labels, matrix=rho)
-
-
-def partial_trace(
-    rho: DensityOperator, part: Bipartition, keep: str
-) -> DensityOperator:
-    """Reduce a density operator over Fock kets across ``part``.
-
-    ``keep`` is "polarization" or "spatial" for a pol_vs_spatial split
-    ("left"/"right" work for any split).  Trace is preserved.
-    """
-    import numpy as np
-
-    side = {"polarization": 0, "left": 0, "spatial": 1, "right": 1}.get(keep)
-    if side is None:
-        raise ValueError(f"keep must name a side of the split, got {keep!r}")
-    pairs = []
-    for k in rho.labels:
-        if not isinstance(k, FockKet):
-            raise ValueError("partial_trace expects a FockKet-labeled operator")
-        pairs.append(part.splitter(k))
-    kept_labels: list = []
-    kept_index: dict = {}
-    for pair in pairs:
-        label = pair[side]
-        if label not in kept_index:
-            kept_index[label] = len(kept_labels)
-            kept_labels.append(label)
-    reduced = np.zeros((len(kept_labels), len(kept_labels)), dtype=complex)
-    for i, pi in enumerate(pairs):
-        for j, pj in enumerate(pairs):
-            if pi[1 - side] == pj[1 - side]:
-                reduced[kept_index[pi[side]], kept_index[pj[side]]] += rho.matrix[i, j]
-    return DensityOperator(labels=tuple(kept_labels), matrix=reduced)
 
 
 def joint_density(state: PureState, part: Bipartition) -> DensityOperator:

@@ -7,9 +7,12 @@ single-photon matrix for the fan-out network.  None of the engine's
 evolution code is used; states cross the boundary only as dicts keyed
 by occupation tuples.
 
-The one exception is ``reference_apply``: the engine's earlier, plainly
-written ``ModeTransform.apply``, kept here unchanged so the optimized
-kernel can be held to bit-for-bit equality with it.
+The exceptions work on engine objects: ``reference_apply`` is the
+engine's earlier, plainly written ``ModeTransform.apply``, kept here
+unchanged so the optimized kernel can be held to bit-for-bit equality
+with it; ``states_close`` compares two states amplitude by amplitude;
+``dense_reduced_density`` traces a side out of the full dense density
+matrix, as a cross-check of the engine's reduced density.
 """
 
 from __future__ import annotations
@@ -125,6 +128,35 @@ def dict_add(a: dict, b: dict) -> dict:
     for k, v in b.items():
         out[k] = out.get(k, 0.0) + v
     return {k: v for k, v in out.items() if abs(v) > PRUNE}
+
+
+def states_close(a, b, tol: float = 1e-10) -> bool:
+    """Amplitude-wise comparison of two ``PureState``s, phase sensitive."""
+    keys = set(a.terms) | set(b.terms)
+    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)
+
+
+def dense_reduced_density(state, part, keep: str) -> dict:
+    """Reduced density of ``state`` across the ``Bipartition`` ``part``, as
+    {(label, label'): entry}: the dense pure-state density matrix over
+    every (left, right) label pair, with the other side traced out."""
+    terms = state.terms
+    pairs = {k: part.splitter(k) for k in terms}
+    left = sorted({p[0] for p in pairs.values()})
+    right = sorted({p[1] for p in pairs.values()})
+    vec = np.zeros((len(left), len(right)), dtype=complex)
+    for k, amp in terms.items():
+        l, r = pairs[k]
+        vec[left.index(l), right.index(r)] += amp
+    vec = vec.reshape(-1) / np.linalg.norm(vec)
+    rho = np.outer(vec, vec.conj()).reshape(len(left), len(right), len(left), len(right))
+    if keep == "left":
+        reduced, labels = np.einsum("ajbj->ab", rho), left
+    else:
+        reduced, labels = np.einsum("iaib->ab", rho), right
+    return {
+        (la, lb): reduced[i, j] for i, la in enumerate(labels) for j, lb in enumerate(labels)
+    }
 
 
 # --- the fan-out network, by hand ------------------------------------------

@@ -80,15 +80,30 @@ def _two_group_circuit(tmp_path):
     return str(path)
 
 
+def _non_utf8_circuit(tmp_path):
+    path = tmp_path / "latin1.onet"
+    path.write_bytes("# caf\xe9\nsource pdc2\n".encode("latin-1"))
+    return str(path)
+
+
+# placeholders in argv for circuit files written per test
+_CIRCUIT_FILES = {"<two-groups>": _two_group_circuit, "<non-utf8>": _non_utf8_circuit}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("run", "--builtin", "fig1", "--noise", "X@1"), "generator-style"),
         (("run", "--alpha", "-1"), "alpha must be finite and nonnegative"),
-        (("run", "--network", None), "expected 3 photon detector groups"),
+        (("run", "--network", "<two-groups>"), "expected 3 photon detector groups"),
         (("run", "--theta", "nan"), "theta must be finite"),
         (("run", "--alpha", "inf"), "alpha must be finite and nonnegative"),
         (("run", "--weights", "nan,0.5,0.5"), "case weights must be finite"),
+        (("sweep-noise", "--weights", "1,0,0"), "nonzero mixed-pass weight"),
+        (("sweep-noise", "--weights", "0,1,0"), "nonzero mixed-pass weight"),
+        (("run", "--sample", "--seed", "-1"), "seed must be nonnegative"),
+        (("run", "--alpha", "1e200"), "alpha squared must be finite"),
+        (("parse", "--network", "<non-utf8>"), "cannot read network file"),
     ],
     ids=[
         "noise-on-source-style",
@@ -97,11 +112,15 @@ def _two_group_circuit(tmp_path):
         "nan-theta",
         "inf-alpha",
         "nan-weight",
+        "sweep-without-mixed-pass-upper",
+        "sweep-without-mixed-pass-lower",
+        "negative-seed",
+        "alpha-square-overflows",
+        "non-utf8-circuit",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
-    # None stands for a circuit file with only two photon detector groups
-    argv = tuple(_two_group_circuit(tmp_path) if a is None else a for a in argv)
+    argv = tuple(_CIRCUIT_FILES[a](tmp_path) if a in _CIRCUIT_FILES else a for a in argv)
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -18,7 +18,6 @@ from ghzgen import (
     build_ghzps,
     elaborate,
     parse,
-    parse_file,
     pretty_print,
 )
 
@@ -70,21 +69,12 @@ def test_fixture_round_trip():
         assert elaborate(again, name="x") == elaborate(doc, name="x")
 
 
-def test_parse_file_reads_from_path(tmp_path):
-    path = tmp_path / "net.onet"
-    path.write_text("set theta 0.25\n", encoding="utf-8")
-    doc = parse_file(path)
-    assert doc.setting("theta") == 0.25
-
-
 # --- parsing surface --------------------------------------------------------
 
 
 def test_comments_and_blank_lines_ignored():
     doc = parse("# header\n\nset theta 0.5  # trailing note\n\n# done\n")
-    assert len(doc.statements) == 1
-    assert doc.setting("theta") == 0.5
-    assert doc.setting("alpha") is None
+    assert [s.args for s in doc.statements] == [("theta", 0.5)]
 
 
 def test_settings_payloads():
@@ -94,8 +84,12 @@ def test_settings_payloads():
         "set case_weights 0.2 0.3 0.5\n"
         "set noise X@1,Z@3\n"
     )
-    assert doc.setting("case_weights") == (0.2, 0.3, 0.5)
-    assert doc.setting("noise") == "X@1,Z@3"
+    assert dict(s.args for s in doc.statements) == {
+        "theta": 0.01,
+        "alpha": 316.0,
+        "case_weights": (0.2, 0.3, 0.5),
+        "noise": "X@1,Z@3",
+    }
 
 
 def test_source_with_weights_clause():
@@ -170,6 +164,7 @@ def test_bad_parameter_errors_located():
         "set theta inf",
         "set alpha inf",
         "set alpha -1",
+        "set alpha 1e200",
         "set case_weights nan 0.5 0.5",
         "source pdc2 weights nan 0.5 0.5",
     ],

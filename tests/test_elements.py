@@ -12,8 +12,9 @@ from ghzgen import (
     make_hwp90,
     make_pbs,
     make_route,
-    states_close,
 )
+
+from oracles import states_close
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -67,7 +68,7 @@ def test_bs_polarization_independent():
     for pol in ("H", "V"):
         out = bs.apply(ket(("p", pol)))
         for k, _ in out.sorted_terms():
-            (rail,) = k.rails()
+            ((rail, _),) = k.occupations
             assert rail.pol == pol
 
 

@@ -1,5 +1,8 @@
 """Network container helpers and structural analysis."""
 
+import math
+import sys
+
 import pytest
 
 from ghzgen import (
@@ -14,6 +17,7 @@ from ghzgen import (
     build_ghzps,
     make_bs,
     make_pbs,
+    run_full,
 )
 
 
@@ -145,8 +149,17 @@ def test_settings_defaults():
         {"alpha": float("nan")},
         {"alpha": float("inf")},
         {"alpha": -1.0},
+        {"alpha": 1e200},
     ],
-    ids=["theta-nan", "theta-inf", "theta-minus-inf", "alpha-nan", "alpha-inf", "alpha-negative"],
+    ids=[
+        "theta-nan",
+        "theta-inf",
+        "theta-minus-inf",
+        "alpha-nan",
+        "alpha-inf",
+        "alpha-negative",
+        "alpha-square-overflows",
+    ],
 )
 def test_settings_reject_bad_probe_values(kwargs):
     with pytest.raises(NetworkError):
@@ -159,3 +172,12 @@ def test_settings_reject_bad_probe_values(kwargs):
 def test_settings_accept_zero_probe_values():
     settings = NetworkSettings(theta=0.0, alpha=0.0)
     assert (settings.theta, settings.alpha) == (0.0, 0.0)
+
+
+def test_settings_alpha_square_boundary():
+    # the largest alpha whose square is a finite float runs to the end
+    largest = math.sqrt(sys.float_info.max)
+    report = run_full(alpha=largest)
+    assert report.probe_overlap == 0.0
+    with pytest.raises(NetworkError, match="alpha squared must be finite"):
+        NetworkSettings(alpha=math.nextafter(largest, math.inf))

@@ -21,8 +21,9 @@ from ghzgen import (
     format_noise_spec,
     ket,
     parse_noise_spec,
-    states_close,
 )
+
+from oracles import states_close
 
 
 def test_psi_plus_literal():

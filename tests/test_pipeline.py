@@ -165,21 +165,24 @@ def test_lookup_correction_base_rows():
     }
     for (tag, shape), ops in expected.items():
         for sign in (1, -1):
-            rule = lookup_correction(NoiseFamily(tag, sign), _pattern(shape))
-            assert rule.ops == ops, (tag, sign, shape)
+            assert lookup_correction(NoiseFamily(tag, sign), _pattern(shape)) == ops, (
+                tag,
+                sign,
+                shape,
+            )
 
 
 def test_lookup_correction_mirrored_swaps_ops():
     base = NoiseFamily("psi", 1)
     mirrored = NoiseFamily("psi", 1, mirrored=True)
     ttr, rrt = _pattern("ttr"), _pattern("rrt")
-    assert lookup_correction(mirrored, ttr).ops == lookup_correction(base, rrt).ops
-    assert lookup_correction(mirrored, rrt).ops == lookup_correction(base, ttr).ops
+    assert lookup_correction(mirrored, ttr) == lookup_correction(base, rrt)
+    assert lookup_correction(mirrored, rrt) == lookup_correction(base, ttr)
 
 
 def test_lookup_correction_product_branch():
-    assert lookup_correction(PHI_PLUS, _pattern("ttr")).ops == ("I", "I", "I")
-    assert lookup_correction(PHI_PLUS, _pattern("rrt")).ops == ("I", "I", "I")
+    assert lookup_correction(PHI_PLUS, _pattern("ttr")) == ("I", "I", "I")
+    assert lookup_correction(PHI_PLUS, _pattern("rrt")) == ("I", "I", "I")
     with pytest.raises(ValueError):
         lookup_correction("bell", _pattern("ttr"))
 
