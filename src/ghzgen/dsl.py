@@ -343,14 +343,18 @@ def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
     for stmt in doc.statements:
         if stmt.kind == "set":
             key, value = stmt.args
+            # each value is checked alone, so a rejection names its own line
+            try:
+                if key == "case_weights":
+                    CaseWeights(*value)
+                elif key == "noise":
+                    parse_noise_spec(value)
+                else:
+                    NetworkSettings(**{key: value})
+            except ValueError as exc:
+                _fail(str(exc), stmt.line, stmt.column, "bad-parameter")
             if key == "case_weights":
                 set_weights = value
-            elif key == "noise":
-                try:
-                    parse_noise_spec(value)
-                except ValueError as exc:
-                    _fail(str(exc), stmt.line, stmt.column, "bad-parameter")
-                settings_kw["noise"] = value
             else:
                 settings_kw[key] = value
         elif stmt.kind == "source":
@@ -427,18 +431,13 @@ def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
             "bad-parameter",
         )
 
-    try:
-        settings = NetworkSettings(**settings_kw)
-    except ValueError as exc:
-        _fail(str(exc), 1, 1, "bad-parameter")
-
     return CircuitNetwork(
         name=name,
         elements=tuple(elements),
         couplings=tuple(couplings),
         detectors=tuple(detectors),
         source=source,
-        settings=settings,
+        settings=NetworkSettings(**settings_kw),
     )
 
 

@@ -72,6 +72,8 @@ from .states import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from ._rng import Generator
+
 GHZ_WORDS = ("HHV", "VVH")
 
 # label used for the product (same-pass) branch in reports and the table
@@ -228,9 +230,12 @@ class BranchState:
 def branch_states(
     network: CircuitNetwork,
     structure: NetworkStructure | None = None,
-    rng: np.random.Generator | None = None,
+    rng: Generator | np.random.Generator | None = None,
 ) -> list[BranchState]:
-    """Emission through fan-out and fourfold coincidence, per branch."""
+    """Emission through fan-out and fourfold coincidence, per branch.
+
+    ``rng``, a generator with numpy's ``.normal``/``.random``, samples the
+    homodyne records (see ``homodyne_discriminate``)."""
     if network.source is None:
         raise ValueError("network declares no source")
     structure = structure or analyze(network)
@@ -380,9 +385,11 @@ def run_full(
     ``noise`` (a spec string like "X@1,Z@3" or parsed errors) acts on the
     three channel photons of the mixed-pass branch, which is the branch
     the recovery table addresses; the same-pass branch has no channel
-    stage between fan-out and fan-in and is reported noiseless.  With
-    ``sample=True`` a single branch and pattern are drawn with the seeded
-    generator (homodyne records included) instead of reporting all.
+    stage between fan-out and fan-in and is reported noiseless, so noise
+    needs a nonzero mixed-pass weight.  With ``sample=True`` a single
+    branch and pattern are drawn, homodyne records included, instead of
+    reporting all; the draws are those of
+    ``numpy.random.default_rng(seed)``, made without numpy.
     """
     network = (network or build_fig3()).with_overrides(weights, theta, alpha)
     structure = analyze(network)
@@ -393,10 +400,12 @@ def run_full(
         raise NetworkError("channel noise needs a generator-style network")
     rng = None
     if sample:
-        import numpy as np
+        from ._rng import Generator
 
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
     branches = branch_states(network, structure, rng=rng)
+    if errors and not any(bs.branch == "B" for bs in branches):
+        raise NetworkError("channel noise needs a nonzero mixed-pass weight")
     positions = structure.positions
     fan_in = network.elements[structure.boundary :]
 

@@ -27,6 +27,8 @@ from .states import FockKet, PureState, Rail
 if TYPE_CHECKING:
     import numpy as np
 
+    from ._rng import Generator
+
 DEFAULT_THETA = 0.01
 DEFAULT_ALPHA = math.sqrt(1e5)
 
@@ -92,13 +94,14 @@ def homodyne_discriminate(
     tagged: TaggedState,
     theta: float = DEFAULT_THETA,
     alpha: float = DEFAULT_ALPHA,
-    rng: np.random.Generator | None = None,
+    rng: Generator | np.random.Generator | None = None,
 ) -> list[QndOutcome]:
     """Split a tagged state into its homodyne branches.
 
     Deterministic by default: the quadrature record x sits at the branch
-    mean, so phi(x) = 0.  Passing ``rng`` samples x from the branch's
-    Gaussian N(2 alpha cos(tag theta), 1) instead; the resulting phases
+    mean, so phi(x) = 0.  Passing ``rng``, a generator with numpy's
+    ``.normal``/``.random``, samples x from the branch's Gaussian
+    N(2 alpha cos(tag theta), 1) instead; the resulting phases
     phi(x) = alpha sin(theta) (x - mean) are recorded for feed-forward.
     Branch probabilities are the squared norms of the tag classes.
     """

@@ -80,6 +80,13 @@ def _two_group_circuit(tmp_path):
     return str(path)
 
 
+def _noisy_circuit(tmp_path):
+    text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
+    path = tmp_path / "noisy.onet"
+    path.write_text(text + "set noise X@1\n", encoding="utf-8")
+    return str(path)
+
+
 def _non_utf8_circuit(tmp_path):
     path = tmp_path / "latin1.onet"
     path.write_bytes("# caf\xe9\nsource pdc2\n".encode("latin-1"))
@@ -87,7 +94,11 @@ def _non_utf8_circuit(tmp_path):
 
 
 # placeholders in argv for circuit files written per test
-_CIRCUIT_FILES = {"<two-groups>": _two_group_circuit, "<non-utf8>": _non_utf8_circuit}
+_CIRCUIT_FILES = {
+    "<two-groups>": _two_group_circuit,
+    "<noisy>": _noisy_circuit,
+    "<non-utf8>": _non_utf8_circuit,
+}
 
 
 @pytest.mark.parametrize(
@@ -101,6 +112,8 @@ _CIRCUIT_FILES = {"<two-groups>": _two_group_circuit, "<non-utf8>": _non_utf8_ci
         (("run", "--weights", "nan,0.5,0.5"), "case weights must be finite"),
         (("sweep-noise", "--weights", "1,0,0"), "nonzero mixed-pass weight"),
         (("sweep-noise", "--weights", "0,1,0"), "nonzero mixed-pass weight"),
+        (("run", "--weights", "1,0,0", "--noise", "X@1"), "nonzero mixed-pass weight"),
+        (("run", "--network", "<noisy>", "--weights", "0,1,0"), "nonzero mixed-pass weight"),
         (("run", "--sample", "--seed", "-1"), "seed must be nonnegative"),
         (("run", "--alpha", "1e200"), "alpha squared must be finite"),
         (("parse", "--network", "<non-utf8>"), "cannot read network file"),
@@ -114,6 +127,8 @@ _CIRCUIT_FILES = {"<two-groups>": _two_group_circuit, "<non-utf8>": _non_utf8_ci
         "nan-weight",
         "sweep-without-mixed-pass-upper",
         "sweep-without-mixed-pass-lower",
+        "noise-without-mixed-pass",
+        "circuit-noise-without-mixed-pass",
         "negative-seed",
         "alpha-square-overflows",
         "non-utf8-circuit",
@@ -417,13 +432,21 @@ GOLDEN_STDOUT = {
 
 
 def test_commands_without_diagnostics_leave_numpy_unloaded():
-    # numpy backs only the Schmidt/density diagnostics and --sample; the
-    # other commands must not pay its import in a fresh interpreter
+    # numpy backs only the Schmidt/density diagnostics; the other commands,
+    # seeded sampling included, must not pay its import in a fresh interpreter
+    argvs = [
+        ["run"],
+        ["dump"],
+        ["verify-table1"],
+        ["parse", "--builtin", "fig3"],
+        ["run", "--sample", "--seed", "5"],
+        ["run", "--sample", "--seed", "11", "--noise", "X@2"],
+    ]
     code = (
         "import contextlib, io, sys\n"
         "import ghzgen.cli as cli\n"
         "print('numpy' in sys.modules)\n"
-        "for argv in (['run'], ['dump'], ['verify-table1'], ['parse', '--builtin', 'fig3']):\n"
+        f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    print('numpy' in sys.modules)\n"
@@ -432,7 +455,7 @@ def test_commands_without_diagnostics_leave_numpy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out.split() == ["False"] * 5
+    assert out.split() == ["False"] * (1 + len(argvs))
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids="_".join)

@@ -176,6 +176,21 @@ def test_bad_probe_setting_is_bad_parameter(line):
     assert "must be finite" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("source pdc2\nset theta 0.01\nset alpha 1e200\n", 3),
+        ("set alpha 316.0\nset theta nan\nsource pdc2\n", 2),
+        ("source pdc2\n\nset case_weights nan 0.5 0.5\n", 3),
+    ],
+)
+def test_bad_setting_is_reported_at_its_set_line(text, line):
+    err = _error(text, elaborate_too=True)
+    assert err.kind == "bad-parameter"
+    assert (err.line, err.column) == (line, 1)
+    assert str(err).startswith(f"line {line}, column 1: ")
+
+
 def test_statement_level_mode_reuse():
     err = _error("pbs a a -> b c\n")
     assert err.kind == "mode-reuse"

@@ -19,6 +19,7 @@ from ghzgen import (
     build_fig3,
     build_ghzps,
     dual_pass_emission,
+    elaborate,
     entanglement_report,
     evolved_family_literal,
     family_state,
@@ -26,6 +27,7 @@ from ghzgen import (
     ghz_target,
     ket,
     lookup_correction,
+    parse,
     postselect_coincidence,
     run_full,
     run_ghzps,
@@ -33,6 +35,7 @@ from ghzgen import (
     verify_correction_table,
     verify_reference_states,
 )
+from ghzgen.dsl import builtin_text
 
 TOL = 1e-12
 
@@ -276,6 +279,18 @@ def test_run_full_every_single_error_recovers():
 def test_run_full_noise_needs_generator_network():
     with pytest.raises(NetworkError):
         run_full("X@1", network=build_ghzps())
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+def test_run_full_noise_needs_mixed_pass_weight(weights):
+    # noise acts only on the mixed-pass branch, so without it noise is an error
+    weights = CaseWeights(*weights)
+    with pytest.raises(NetworkError, match="nonzero mixed-pass weight"):
+        run_full("X@1", weights=weights)
+    noisy = elaborate(parse(builtin_text("fig3") + "set noise X@1\n"))
+    with pytest.raises(NetworkError, match="nonzero mixed-pass weight"):
+        run_full(network=noisy, weights=weights)
+    assert {e.branch for e in run_full(weights=weights).entries} == {"A"}
 
 
 def test_sweep_noise_needs_generator_network():
