@@ -125,9 +125,7 @@ def _entry_json(entry) -> dict:
         "state": to_json_terms(entry.state),
     }
     if entry.entanglement is not None:
-        ent = dict(entry.entanglement)
-        ent["schmidt_coefficients"] = list(ent["schmidt_coefficients"])
-        out["entanglement"] = ent
+        out["entanglement"] = entry.entanglement
     return out
 
 
@@ -208,16 +206,7 @@ def cmd_analyze_entanglement(flags: dict) -> int:
     rows = []
     for branch, joint, summary in branches:
         ranks[branch] = summary["schmidt_rank"]
-        rows.append(
-            {
-                "branch": branch,
-                "joint_probability": joint,
-                "schmidt_rank": summary["schmidt_rank"],
-                "schmidt_coefficients": list(summary["schmidt_coefficients"]),
-                "polarization_purity": summary["polarization_purity"],
-                "product_state_deviation": summary["product_state_deviation"],
-            }
-        )
+        rows.append({"branch": branch, "joint_probability": joint, **summary})
     ok = ranks.get("A") == 1 and ranks.get("B") == 2
     if flags.get("json"):
         print(_dump_json({"branches": rows, "passed": ok}))

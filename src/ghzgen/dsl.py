@@ -29,6 +29,7 @@ of the builtin devices.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -194,6 +195,13 @@ def _parse_kerr(toks: list[_Token], line: int) -> Statement:
     if pol not in (H, V):
         _fail(f"polarization must be H or V, got {pol!r}", line, toks[2].column, "bad-parameter")
     units = _float(toks[3], line)
+    if not math.isfinite(units):
+        _fail(
+            f"kerr units must be finite, got {toks[3].text!r}",
+            line,
+            toks[3].column,
+            "bad-parameter",
+        )
     return Statement("kerr", (mode, pol, units), line, toks[0].column)
 
 

@@ -16,18 +16,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .elements import make_pbs
-from .qnd import DEFAULT_ALPHA, DEFAULT_THETA, KerrCoupling
+from .qnd import DEFAULT_ALPHA, DEFAULT_THETA, KerrCoupling, NetworkError
 from .source import CaseWeights
 from .states import ModeTransform
 
 TRIGGER_GROUP = "T"
-
-
-class NetworkError(ValueError):
-    """A network or its settings cannot serve the requested run: a wrong
-    detector structure, a non-finite, negative or overflowing probe
-    setting, or an operation the network's style or weights do not
-    support.  Bad input, not an engine fault."""
 
 
 @dataclass(frozen=True)

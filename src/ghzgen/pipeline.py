@@ -54,19 +54,16 @@ from .qnd import (
 )
 from .source import CaseWeights, dual_pass_emission
 from .states import (
-    Bipartition,
     ModeTransform,
     PureState,
     compose,
+    entanglement_summary,
     factor_out_mode,
     fidelity,
-    joint_density,
     ket,
     merge_spatial_modes,
     phase_fixed,
     project_occupancy,
-    reduced_density,
-    schmidt_coefficients,
 )
 
 if TYPE_CHECKING:
@@ -313,24 +310,6 @@ class RunReport:
     sampled: dict | None = None
 
 
-def _entanglement_summary(state: PureState, positions) -> dict:
-    import numpy as np
-
-    part = Bipartition.pol_vs_spatial(positions)
-    coeffs = schmidt_coefficients(state, part)
-    rho_pol = reduced_density(state, part, keep="left")
-    rho_spa = reduced_density(state, part, keep="right")
-    joint = joint_density(state, part)
-    product = np.kron(rho_pol.matrix, rho_spa.matrix)
-    deviation = float(np.max(np.abs(joint.matrix - product)))
-    return {
-        "schmidt_rank": len(coeffs),
-        "schmidt_coefficients": coeffs,
-        "polarization_purity": rho_pol.purity(),
-        "product_state_deviation": deviation,
-    }
-
-
 def entanglement_report(
     network: CircuitNetwork | None = None,
     weights: CaseWeights | None = None,
@@ -346,7 +325,7 @@ def entanglement_report(
         (
             bs.branch,
             bs.joint_probability,
-            _entanglement_summary(bs.conditional, structure.positions),
+            entanglement_summary(bs.conditional, structure.positions),
         )
         for bs in branch_states(network, structure)
     ]
@@ -424,7 +403,7 @@ def run_full(
                     corrections=(),
                     state=phase_fixed(bs.conditional),
                     fidelity=None,
-                    entanglement=_entanglement_summary(bs.conditional, positions),
+                    entanglement=entanglement_summary(bs.conditional, positions),
                 )
             )
             continue

@@ -36,6 +36,16 @@ DEFAULT_ALPHA = math.sqrt(1e5)
 _TAG_TOL = 1e-9
 
 
+class NetworkError(ValueError):
+    """A network or its settings cannot serve the requested run: a wrong
+    detector structure, Kerr couplings that tag a ket outside the protocol
+    classes, a non-finite, negative or overflowing probe setting, or an
+    operation the network's style or weights do not support.  Bad input,
+    not an engine fault.  It lives here rather than in ``network``, which
+    imports this module, so that branch discrimination can raise it;
+    ``network`` re-exports it."""
+
+
 @dataclass(frozen=True)
 class KerrCoupling:
     """Probe phase per photon on one rail, in units of theta."""
@@ -109,14 +119,14 @@ def homodyne_discriminate(
     signs: dict[FockKet, int] = {}
     for k, amp in tagged.state.terms.items():
         t = tagged.tags[k]
-        snapped = round(t)
-        if abs(t - snapped) > _TAG_TOL or snapped not in (-1, 0, 1):
-            raise ValueError(
+        # the range test goes first: round() fails on an infinite or NaN tag
+        if not -1.5 < t < 1.5 or abs(t - round(t)) > _TAG_TOL:
+            raise NetworkError(
                 f"tag {t} theta on {k} is outside the protocol classes "
                 "(miswired couplings?)"
             )
-        signs[k] = int(snapped)
-        sides["A" if snapped else "B"][k] = amp
+        signs[k] = round(t)
+        sides["A" if signs[k] else "B"][k] = amp
     total = tagged.state.norm() ** 2
     if total == 0.0:
         raise ValueError("cannot discriminate the zero state")

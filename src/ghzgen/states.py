@@ -14,19 +14,14 @@ Conventions:
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
   * the state algebra and the element matrices are plain Python; numpy is
-    imported only by the Schmidt and density-operator diagnostics (and by
-    ``ModeTransform.matrix``), where they run
+    imported only by ``entanglement_summary``, when it runs
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 H = "H"
 V = "V"
@@ -319,12 +314,11 @@ class ModeTransform:
     rectangular ones model elements with an unused vacuum port.
 
     The matrix is kept as ``rows``, a tuple of rows of Python complex
-    numbers; ``matrix`` is the same matrix as a read-only ndarray, built
-    on first access.  Instances are immutable and hashable.
+    numbers.  Instances are immutable and hashable.
     """
 
     __slots__ = (
-        "name", "in_rails", "out_rails", "rows", "_matrix", "_in_index", "_out_set", "_columns"
+        "name", "in_rails", "out_rails", "rows", "_in_index", "_out_set", "_columns"
     )
 
     def __init__(
@@ -360,7 +354,6 @@ class ModeTransform:
         object.__setattr__(self, "in_rails", in_rails)
         object.__setattr__(self, "out_rails", out_rails)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_matrix", None)
         # apply's plan: per input column, the nonzero (output index,
         # amplitude) entries in output order
         object.__setattr__(self, "_in_index", {r: j for j, r in enumerate(in_rails)})
@@ -378,17 +371,6 @@ class ModeTransform:
 
     def __reduce__(self):
         return ModeTransform, (self.name, self.in_rails, self.out_rails, self.rows)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            import numpy as np
-
-            m = np.array(self.rows, dtype=complex)
-            m = m.reshape(len(self.out_rails), len(self.in_rails))
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeTransform):
@@ -547,128 +529,63 @@ def factor_out_mode(state: PureState, mode: str) -> tuple[FockKet, PureState]:
     return content, PureState(rest)
 
 
-# --- bipartitions, Schmidt structure, density operators ------------------
+# --- polarization-versus-path entanglement -------------------------------
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A rule splitting each ket into (left, right) factor labels;
-    ``pol_vs_spatial`` builds the protocol's polarization-versus-path split.
+def entanglement_summary(state: PureState, positions: Sequence[Iterable[str]]) -> dict:
+    """Polarization-versus-path structure of the normalized ``state``.
+
+    Each position is a group of spatial modes that must hold exactly one
+    photon; a ket's polarization word and path word list its photons'
+    polarizations and modes in position order.  With ``m`` the amplitudes
+    arranged as m[polarization word, path word], returns:
+
+      * ``schmidt_rank`` and ``schmidt_coefficients``: the singular values
+        of ``m`` above ``SCHMIDT_TOL``, in descending order;
+      * ``polarization_purity``: tr(rho_pol^2) of the reduced polarization
+        state rho_pol = m m^dagger;
+      * ``product_state_deviation``: the largest entry of
+        |rho - rho_pol (x) rho_path|, zero exactly for a product state.
+
+    Raises ``ValueError`` when a ket does not hold exactly one photon per
+    position or has a photon outside them.  This is the one function of
+    the package that imports numpy.
     """
-
-    splitter: Callable[[FockKet], tuple]
-
-    @classmethod
-    def pol_vs_spatial(cls, positions: Sequence[Iterable[str]]) -> "Bipartition":
-        """Each position is a group of spatial modes holding exactly one
-        photon; left label = polarization word, right label = mode word."""
-        groups = [tuple(p) for p in positions]
-
-        all_modes = {m for g in groups for m in g}
-
-        def split(k: FockKet) -> tuple:
-            pols, modes = [], []
-            for group in groups:
-                found = [(r, n) for r, n in k if r.mode in group]
-                if len(found) != 1 or found[0][1] != 1:
-                    raise ValueError(
-                        f"{k} does not hold exactly one photon in {group}"
-                    )
-                rail = found[0][0]
-                pols.append(rail.pol)
-                modes.append(rail.mode)
-            if any(r.mode not in all_modes for r, _ in k):
-                raise ValueError(f"{k} has photons outside the positions")
-            return tuple(pols), tuple(modes)
-
-        return cls(splitter=split)
-
-    def coefficient_matrix(
-        self, state: PureState
-    ) -> tuple[list, list, np.ndarray]:
-        """Amplitudes arranged as M[left, right] over the state's support."""
-        import numpy as np
-
-        left_labels: list = []
-        right_labels: list = []
-        entries: list[tuple[int, int, complex]] = []
-        lindex: dict = {}
-        rindex: dict = {}
-        for k, amp in state.sorted_terms():
-            l, r = self.splitter(k)
-            if l not in lindex:
-                lindex[l] = len(left_labels)
-                left_labels.append(l)
-            if r not in rindex:
-                rindex[r] = len(right_labels)
-                right_labels.append(r)
-            entries.append((lindex[l], rindex[r], amp))
-        m = np.zeros((len(left_labels), len(right_labels)), dtype=complex)
-        for i, j, amp in entries:
-            m[i, j] += amp
-        return left_labels, right_labels, m
-
-
-def schmidt_coefficients(state: PureState, part: Bipartition) -> tuple[float, ...]:
-    """Singular values of the normalized state across ``part``, pruned."""
     import numpy as np
 
-    _, _, m = part.coefficient_matrix(state.normalized())
-    svals = np.linalg.svd(m, compute_uv=False)
-    return tuple(float(s) for s in svals if s > SCHMIDT_TOL)
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Density matrix over an explicit ordered basis of hashable labels."""
-
-    labels: tuple
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.labels), len(self.labels)):
-            raise ValueError("matrix shape does not match label count")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    def purity(self) -> float:
-        return float((self.matrix @ self.matrix).trace().real)
-
-
-def reduced_density(
-    state: PureState, part: Bipartition, keep: str
-) -> DensityOperator:
-    """Trace out one side of ``part`` from a pure state.
-
-    ``keep`` is "left" or "right" (for pol_vs_spatial: left is the
-    polarization word, right the spatial word).
-    """
-    left_labels, right_labels, m = part.coefficient_matrix(state.normalized())
-    if keep == "left":
-        rho = m @ m.conj().T
-        labels = tuple(left_labels)
-    elif keep == "right":
-        rho = m.T @ m.conj()
-        labels = tuple(right_labels)
-    else:
-        raise ValueError("keep must be 'left' or 'right'")
-    return DensityOperator(labels=labels, matrix=rho)
-
-
-def joint_density(state: PureState, part: Bipartition) -> DensityOperator:
-    """Pure-state density matrix in the product basis induced by ``part``,
-    with labels (left, right).  Basis order is left-major, matching
-    ``np.kron(reduced_left, reduced_right)``."""
-    import numpy as np
-
-    left_labels, right_labels, m = part.coefficient_matrix(state.normalized())
+    groups = [tuple(p) for p in positions]
+    all_modes = {m for g in groups for m in g}
+    pol_index: dict[tuple, int] = {}
+    path_index: dict[tuple, int] = {}
+    entries: list[tuple[int, int, complex]] = []
+    for k, amp in state.normalized().sorted_terms():
+        pols, modes = [], []
+        for group in groups:
+            found = [(r, n) for r, n in k if r.mode in group]
+            if len(found) != 1 or found[0][1] != 1:
+                raise ValueError(f"{k} does not hold exactly one photon in {group}")
+            rail = found[0][0]
+            pols.append(rail.pol)
+            modes.append(rail.mode)
+        if any(r.mode not in all_modes for r, _ in k):
+            raise ValueError(f"{k} has photons outside the positions")
+        i = pol_index.setdefault(tuple(pols), len(pol_index))
+        j = path_index.setdefault(tuple(modes), len(path_index))
+        entries.append((i, j, amp))
+    m = np.zeros((len(pol_index), len(path_index)), dtype=complex)
+    for i, j, amp in entries:
+        m[i, j] += amp
+    coeffs = tuple(float(s) for s in np.linalg.svd(m, compute_uv=False) if s > SCHMIDT_TOL)
+    rho_pol = m @ m.conj().T
+    rho_path = m.T @ m.conj()
     v = m.reshape(-1)
-    labels = tuple((l, r) for l in left_labels for r in right_labels)
-    return DensityOperator(labels=labels, matrix=np.outer(v, v.conj()))
+    deviation = np.abs(np.outer(v, v.conj()) - np.kron(rho_pol, rho_path))
+    return {
+        "schmidt_rank": len(coeffs),
+        "schmidt_coefficients": coeffs,
+        "polarization_purity": float((rho_pol @ rho_pol).trace().real),
+        "product_state_deviation": float(np.max(deviation)),
+    }
 
 
 # --- serialization -------------------------------------------------------

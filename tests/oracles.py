@@ -11,8 +11,9 @@ The exceptions work on engine objects: ``reference_apply`` is the
 engine's earlier, plainly written ``ModeTransform.apply``, kept here
 unchanged so the optimized kernel can be held to bit-for-bit equality
 with it; ``states_close`` compares two states amplitude by amplitude;
-``dense_reduced_density`` traces a side out of the full dense density
-matrix, as a cross-check of the engine's reduced density.
+``dense_entanglement_summary`` recomputes the polarization-versus-path
+summary from the dense density matrix, as a cross-check of
+``entanglement_summary``.
 """
 
 from __future__ import annotations
@@ -136,26 +137,38 @@ def states_close(a, b, tol: float = 1e-10) -> bool:
     return all(abs(a.amplitude(k) - b.amplitude(k)) <= tol for k in keys)
 
 
-def dense_reduced_density(state, part, keep: str) -> dict:
-    """Reduced density of ``state`` across the ``Bipartition`` ``part``, as
-    {(label, label'): entry}: the dense pure-state density matrix over
-    every (left, right) label pair, with the other side traced out."""
-    terms = state.terms
-    pairs = {k: part.splitter(k) for k in terms}
-    left = sorted({p[0] for p in pairs.values()})
-    right = sorted({p[1] for p in pairs.values()})
-    vec = np.zeros((len(left), len(right)), dtype=complex)
-    for k, amp in terms.items():
-        l, r = pairs[k]
-        vec[left.index(l), right.index(r)] += amp
-    vec = vec.reshape(-1) / np.linalg.norm(vec)
-    rho = np.outer(vec, vec.conj()).reshape(len(left), len(right), len(left), len(right))
-    if keep == "left":
-        reduced, labels = np.einsum("ajbj->ab", rho), left
-    else:
-        reduced, labels = np.einsum("iaib->ab", rho), right
+def dense_entanglement_summary(state, positions) -> dict:
+    """The four fields of ``entanglement_summary``, from the dense state
+    over every polarization word and every path word of ``positions``
+    (one photon per position), with the reduced and product densities
+    taken by ``einsum``; plus ``singular_values``, all of them, so a test
+    can stay clear of the rank threshold.  Raises ``ValueError`` on a ket
+    that does not fit that basis."""
+    positions = [tuple(p) for p in positions]
+    pol_words = list(itertools.product("HV", repeat=len(positions)))
+    path_words = list(itertools.product(*positions))
+    psi = np.zeros((len(pol_words), len(path_words)), dtype=complex)
+    for k, amp in state.terms.items():
+        photons = [(r.mode, r.pol) for r, n in k for _ in range(n)]
+        by_mode = dict(photons)
+        path = tuple(next((m for m in group if m in by_mode), None) for group in positions)
+        if None in path or not len(photons) == len(by_mode) == len(positions):
+            raise ValueError(f"{k} does not hold one photon per position")
+        pol = tuple(by_mode[m] for m in path)
+        psi[pol_words.index(pol), path_words.index(path)] += amp
+    psi /= np.linalg.norm(psi)
+    rho = np.einsum("ij,kl->ijkl", psi, psi.conj())
+    rho_pol = np.einsum("ajbj->ab", rho)
+    rho_path = np.einsum("iaib->ab", rho)
+    product = np.einsum("ac,bd->abcd", rho_pol, rho_path)
+    svals = np.linalg.svd(psi, compute_uv=False)
+    coeffs = tuple(float(s) for s in svals if s > 1e-10)
     return {
-        (la, lb): reduced[i, j] for i, la in enumerate(labels) for j, lb in enumerate(labels)
+        "schmidt_rank": len(coeffs),
+        "schmidt_coefficients": coeffs,
+        "polarization_purity": float(np.einsum("ab,ba->", rho_pol, rho_pol).real),
+        "product_state_deviation": float(np.max(np.abs(rho - product))),
+        "singular_values": tuple(float(s) for s in svals),
     }
 
 
@@ -337,7 +350,7 @@ def reference_apply(transform, state):
             norm_div *= math.factorial(n)
         partial = {(0,) * n_out: amp / math.sqrt(norm_div)}
         for j, n in enumerate(counts):
-            column = transform.matrix[:, j]
+            column = [row[j] for row in transform.rows]
             for _ in range(n):
                 nxt = {}
                 for occ, c in partial.items():

@@ -15,7 +15,6 @@ import pytest
 
 import oracles
 from ghzgen import (
-    Bipartition,
     CaseWeights,
     NoiseFamily,
     PSI_PLUS,
@@ -30,21 +29,19 @@ from ghzgen import (
     default_couplings,
     dual_pass_emission,
     elaborate,
+    entanglement_summary,
     family_state,
     feed_forward,
     fidelity,
     homodyne_discriminate,
-    joint_density,
     ket,
     make_hwp90,
     make_pbs,
     parse,
     pretty_print,
     project_occupancy,
-    reduced_density,
     run_full,
     run_ghzps,
-    schmidt_coefficients,
     tag_phases,
     two_pair_product,
 )
@@ -147,20 +144,14 @@ def test_criterion_02_single_photon_maps():
 
 
 def test_criterion_03_factorization_claim():
-    results = {branch: (s, p) for branch, s, p in run_ghzps()}
+    states = {branch: s for branch, s, _ in run_ghzps()}
     pairs = (("D1", "d1"), ("D2", "d2"), ("D3", "d3"))
-    part = Bipartition.pol_vs_spatial(pairs)
-
-    a_state, _ = results["A"]
-    rho_p = reduced_density(a_state, part, keep="left")
-    rho_s = reduced_density(a_state, part, keep="right")
-    joint = joint_density(a_state, part)
-    deviation = float(np.max(np.abs(joint.matrix - np.kron(rho_p.matrix, rho_s.matrix))))
-    coeffs_a = schmidt_coefficients(a_state, part)
-
-    b_state, _ = results["B"]
-    coeffs_b = schmidt_coefficients(b_state, part)
-    purity_b = reduced_density(b_state, part, keep="left").purity()
+    a_summary = entanglement_summary(states["A"], pairs)
+    b_summary = entanglement_summary(states["B"], pairs)
+    deviation = a_summary["product_state_deviation"]
+    coeffs_a = a_summary["schmidt_coefficients"]
+    coeffs_b = b_summary["schmidt_coefficients"]
+    purity_b = b_summary["polarization_purity"]
 
     ok = (
         deviation < TOL

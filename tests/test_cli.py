@@ -87,6 +87,17 @@ def _noisy_circuit(tmp_path):
     return str(path)
 
 
+def _kerr_circuit(units):
+    # fig3 with the coupling on the a1 H rail set to ``units``
+    def write(tmp_path):
+        text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
+        path = tmp_path / "kerr.onet"
+        path.write_text(text.replace("kerr a1 H 0.5", f"kerr a1 H {units}"), encoding="utf-8")
+        return str(path)
+
+    return write
+
+
 def _non_utf8_circuit(tmp_path):
     path = tmp_path / "latin1.onet"
     path.write_bytes("# caf\xe9\nsource pdc2\n".encode("latin-1"))
@@ -98,6 +109,9 @@ _CIRCUIT_FILES = {
     "<two-groups>": _two_group_circuit,
     "<noisy>": _noisy_circuit,
     "<non-utf8>": _non_utf8_circuit,
+    "<nan-kerr>": _kerr_circuit("nan"),
+    "<miswired-kerr>": _kerr_circuit("0.25"),
+    "<overflowing-kerr>": _kerr_circuit("1e308"),
 }
 
 
@@ -117,6 +131,10 @@ _CIRCUIT_FILES = {
         (("run", "--sample", "--seed", "-1"), "seed must be nonnegative"),
         (("run", "--alpha", "1e200"), "alpha squared must be finite"),
         (("parse", "--network", "<non-utf8>"), "cannot read network file"),
+        (("run", "--network", "<nan-kerr>"), "kerr units must be finite"),
+        (("dump", "--network", "<miswired-kerr>"), "outside the protocol classes"),
+        (("analyze-entanglement", "--network", "<miswired-kerr>"), "outside the protocol classes"),
+        (("sweep-noise", "--network", "<overflowing-kerr>"), "outside the protocol classes"),
     ],
     ids=[
         "noise-on-source-style",
@@ -132,6 +150,10 @@ _CIRCUIT_FILES = {
         "negative-seed",
         "alpha-square-overflows",
         "non-utf8-circuit",
+        "nan-kerr-units",
+        "miswired-kerr-dump",
+        "miswired-kerr-entanglement",
+        "overflowing-kerr-sweep",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
@@ -432,8 +454,8 @@ GOLDEN_STDOUT = {
 
 
 def test_commands_without_diagnostics_leave_numpy_unloaded():
-    # numpy backs only the Schmidt/density diagnostics; the other commands,
-    # seeded sampling included, must not pay its import in a fresh interpreter
+    # numpy backs only entanglement_summary; the other commands, seeded
+    # sampling included, must not pay its import in a fresh interpreter
     argvs = [
         ["run"],
         ["dump"],

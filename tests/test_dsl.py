@@ -156,6 +156,10 @@ def test_bad_parameter_errors_located():
     assert err.kind == "bad-parameter"
     assert (err.line, err.column) == (2, 9)
 
+    err = _error("source pdc2\nkerr a1 H -inf\n")
+    assert err.kind == "bad-parameter"
+    assert (err.line, err.column) == (2, 11)
+
 
 @pytest.mark.parametrize(
     "line",
@@ -167,6 +171,8 @@ def test_bad_parameter_errors_located():
         "set alpha 1e200",
         "set case_weights nan 0.5 0.5",
         "source pdc2 weights nan 0.5 0.5",
+        "kerr a1 H nan",
+        "kerr a1 H inf",
     ],
 )
 def test_bad_probe_setting_is_bad_parameter(line):

@@ -1,6 +1,7 @@
-"""The package namespace (``__all__`` and the imports in ``__init__``) and
-the data files the wheel ships."""
+"""The package namespace (``__all__`` and the imports in ``__init__``),
+the data files the wheel ships, and where the package imports numpy."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -33,3 +34,38 @@ def test_every_fixture_file_is_package_data():
     assert files
     missing = [str(p) for p in files if not any(p.match(glob) for glob in globs)]
     assert not missing
+
+
+def _numpy_imports(node, function=None) -> list:
+    """Enclosing function (None at module level) of every import of numpy
+    under ``node`` that runs; the body of ``if TYPE_CHECKING:`` does not."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = []
+    found = [function for m in modules if m.split(".")[0] == "numpy"]
+    children = ast.iter_child_nodes(node)
+    if isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING",
+        "typing.TYPE_CHECKING",
+    ):
+        children = node.orelse
+    for child in children:
+        found += _numpy_imports(child, function)
+    return found
+
+
+def test_numpy_is_imported_only_by_entanglement_summary():
+    # numpy's import is most of a CLI start; only the diagnostic that needs
+    # it may pay for it, and only when it runs
+    package = Path(ghzgen.__file__).resolve().parent
+    found = [
+        (path.stem, function)
+        for path in sorted(package.glob("*.py"))
+        for function in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("states", "entanglement_summary")]

@@ -12,26 +12,22 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ghzgen import (
-    Bipartition,
-    DensityOperator,
     FockKet,
     ModeTransform,
     PureState,
     Rail,
     build_fig3,
     dual_pass_emission,
+    entanglement_summary,
     factor_out_mode,
     feed_forward,
     fidelity,
     homodyne_discriminate,
     inner_product,
-    joint_density,
     ket,
     merge_spatial_modes,
     phase_fixed,
     project_occupancy,
-    reduced_density,
-    schmidt_coefficients,
     tag_phases,
 )
 from ghzgen.states import ISOMETRY_TOL, compose, to_json_terms
@@ -235,8 +231,6 @@ def test_transform_isometry_rule():
 def test_transform_is_immutable_hashable_and_pickles():
     h = _hadamard("a")
     assert h.rows == ((INV_SQRT2 + 0j, INV_SQRT2 + 0j), (INV_SQRT2 + 0j, -INV_SQRT2 + 0j))
-    assert h.matrix.tolist() == [list(row) for row in h.rows]
-    assert not h.matrix.flags.writeable
     with pytest.raises(AttributeError):
         h.name = "other"
     same = ModeTransform("had", h.in_rails, h.out_rails, [list(row) for row in h.rows])
@@ -354,81 +348,83 @@ def _pol_path_bell():
 
 
 def test_schmidt_bell_state():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    coeffs = schmidt_coefficients(_pol_path_bell(), part)
-    assert coeffs == pytest.approx((INV_SQRT2, INV_SQRT2))
+    summary = entanglement_summary(_pol_path_bell(), _POSITIONS)
+    assert summary["schmidt_rank"] == 2
+    assert summary["schmidt_coefficients"] == pytest.approx((INV_SQRT2, INV_SQRT2))
 
 
 def test_schmidt_product_state():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    s = ket(("u1", "H"), ("u2", "V"))
-    assert schmidt_coefficients(s, part) == pytest.approx((1.0,))
+    summary = entanglement_summary(ket(("u1", "H"), ("u2", "V")), _POSITIONS)
+    assert summary["schmidt_rank"] == 1
+    assert summary["schmidt_coefficients"] == pytest.approx((1.0,))
 
 
 def test_schmidt_coefficients_sorted_descending():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
     s = ket(("u1", "H"), ("u2", "H")) * 2.0 + ket(("l1", "V"), ("l2", "V"))
-    coeffs = schmidt_coefficients(s, part)
+    coeffs = entanglement_summary(s, _POSITIONS)["schmidt_coefficients"]
     assert coeffs[0] >= coeffs[1]
     assert sum(c * c for c in coeffs) == pytest.approx(1.0)
 
 
+def _pol_path_product():
+    # one photon delocalized over (u, l) per position, with the same pol
+    # word on both paths
+    return ket(("u1", "H"), ("u2", "V")) + ket(("l1", "H"), ("l2", "V"))
+
+
 def test_pol_vs_spatial_split():
-    # one photon delocalized over (u, l) per position: pol word vs path word
-    s = ket(("u1", "H"), ("u2", "V")) + ket(("l1", "H"), ("l2", "V"))
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    assert len(schmidt_coefficients(s, part)) == 1  # same pol word on both paths factorizes
+    summary = entanglement_summary(_pol_path_product(), _POSITIONS)
+    assert summary["schmidt_rank"] == 1
+    assert summary["polarization_purity"] == pytest.approx(1.0)
 
 
 def test_pol_vs_spatial_rejects_stray_photon():
-    part = Bipartition.pol_vs_spatial([("u1", "l1")])
-    with pytest.raises(ValueError):
-        part.splitter(FockKet({Rail("other", "H"): 1}))
-
-
-def test_density_operator_purity():
-    v = np.array([0.6, 0.8j])
-    assert DensityOperator(labels=("x", "y"), matrix=np.outer(v, v.conj())).purity() == (
-        pytest.approx(1.0)
-    )
-    assert DensityOperator(labels=("x", "y"), matrix=np.eye(2) / 2).purity() == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        DensityOperator(labels=("x",), matrix=np.eye(2))
+    one = [("u1", "l1")]
+    with pytest.raises(ValueError, match="exactly one photon"):
+        entanglement_summary(ket(("other", "H")), one)
+    with pytest.raises(ValueError, match="outside the positions"):
+        entanglement_summary(ket(("u1", "H"), ("other", "H")), one)
+    # two photons in one position, on two paths or on one rail
+    with pytest.raises(ValueError, match="exactly one photon"):
+        entanglement_summary(ket(("u1", "H"), ("l1", "V")), one)
+    with pytest.raises(ValueError, match="exactly one photon"):
+        entanglement_summary(ket(("u1", "H", 2), ("u2", "V")), _POSITIONS)
 
 
 def test_reduced_density_of_bell_is_mixed():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    rho = reduced_density(_pol_path_bell(), part, keep="left")
-    assert rho.purity() == pytest.approx(0.5)
-    assert np.allclose(rho.matrix, np.eye(2) / 2.0)
+    summary = entanglement_summary(_pol_path_bell(), _POSITIONS)
+    assert summary["polarization_purity"] == pytest.approx(0.5)
+    # |rho - rho_pol (x) rho_path| peaks at the HH,uu / VV,ll coherence
+    assert summary["product_state_deviation"] == pytest.approx(0.5)
 
 
 def test_partial_trace_matches_reduced_density():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
     state = _pol_path_bell() * 0.6 + ket(("u1", "V"), ("l2", "H"), amp=0.8j)
-    for keep in ("left", "right"):
-        red = reduced_density(state, part, keep=keep)
-        dense = oracles.dense_reduced_density(state, part, keep)
-        assert {(a, b) for a in red.labels for b in red.labels} == set(dense)
-        for i, a in enumerate(red.labels):
-            for j, b in enumerate(red.labels):
-                assert red.matrix[i, j] == pytest.approx(dense[a, b], abs=1e-12)
-        assert red.matrix.trace().real == pytest.approx(1.0)
-
-
-def test_reduced_density_rejects_unknown_side():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    with pytest.raises(ValueError):
-        reduced_density(_pol_path_bell(), part, keep="sideways")
+    _assert_summary_matches_oracle(state, _POSITIONS)
+    # HH and VV on both path words with a relative phase: a cycle in the
+    # support, so the phases cannot be gauged away into the local bases
+    cycle = (
+        _pol_path_bell()
+        + ket(("l1", "H"), ("l2", "H"))
+        + ket(("u1", "V"), ("u2", "V"), amp=-1j)
+    )
+    _assert_summary_matches_oracle(cycle, _POSITIONS)
 
 
 def test_joint_density_product_state_factorizes():
-    part = Bipartition.pol_vs_spatial(_POSITIONS)
-    s = (ket(("u1", "H"), ("u2", "V")) + ket(("l1", "H"), ("l2", "V"))).normalized()
-    joint = joint_density(s, part)
-    left = reduced_density(s, part, keep="left")
-    right = reduced_density(s, part, keep="right")
-    assert np.allclose(joint.matrix, np.kron(left.matrix, right.matrix))
+    summary = entanglement_summary(_pol_path_product(), _POSITIONS)
+    assert summary["product_state_deviation"] < 1e-12
+
+
+def _assert_summary_matches_oracle(state, positions):
+    dense = oracles.dense_entanglement_summary(state, positions)
+    summary = entanglement_summary(state, positions)
+    assert summary["schmidt_rank"] == dense["schmidt_rank"]
+    assert summary["schmidt_coefficients"] == pytest.approx(
+        dense["schmidt_coefficients"], abs=1e-12
+    )
+    for key in ("polarization_purity", "product_state_deviation"):
+        assert summary[key] == pytest.approx(dense[key], abs=1e-12)
 
 
 def test_to_json_terms_shape():
@@ -531,6 +527,35 @@ def test_property_inner_product_conjugate_symmetric(a, b):
     ba = inner_product(b, a)
     assert ab == pytest.approx(np.conj(ba), abs=1e-9)
     assert abs(ab) <= a.norm() * b.norm() + 1e-9
+
+
+
+@st.composite
+def _positioned_state_st(draw):
+    """State with one photon in each of 2 or 3 positions, every position an
+    upper (u) and a lower (l) path; returns (state, positions)."""
+    n = draw(st.integers(2, 3))
+    photon = st.tuples(st.sampled_from("ul"), st.sampled_from(_POLS))
+    amp = st.floats(-1, 1, allow_nan=False)
+    entries = draw(
+        st.lists(st.tuples(st.lists(photon, min_size=n, max_size=n), amp, amp), max_size=8)
+    )
+    acc = {}
+    for photons, re, im in entries:
+        k = FockKet({Rail(f"{path}{i}", pol): 1 for i, (path, pol) in enumerate(photons, 1)})
+        acc[k] = acc.get(k, 0j) + complex(re, im)
+    state = PureState(acc)
+    assume(state.norm() > 1e-6)
+    return state, [(f"u{i}", f"l{i}") for i in range(1, n + 1)]
+
+
+@given(_positioned_state_st())
+def test_property_summary_matches_dense_oracle(case):
+    state, positions = case
+    singular_values = oracles.dense_entanglement_summary(state, positions)["singular_values"]
+    # a singular value at the rank threshold may land on either side of it
+    assume(not any(1e-11 < s < 1e-9 for s in singular_values))
+    _assert_summary_matches_oracle(state, positions)
 
 
 # --- the apply kernel against the reference implementation ------------------
