@@ -11,13 +11,14 @@ import argparse
 from ghzgen import (
     DEFAULT_ALPHA,
     DEFAULT_THETA,
+    branch_states,
+    build_ghzps,
     default_couplings,
     dual_pass_emission,
     feed_forward,
     homodyne_discriminate,
     probe_distinguishability,
     run_full,
-    run_ghzps,
     tag_phases,
 )
 
@@ -49,16 +50,16 @@ def main():
     print("\n== probe discrimination ==")
     overlap = probe_distinguishability(args.alpha, args.theta)
     print(f"  residual probe overlap exp(-a^2(1-cos t)) = {overlap:.3e}")
-    tagged = tag_phases(emission, default_couplings("a1", "a2"))
-    for outcome in homodyne_discriminate(tagged, theta=args.theta, alpha=args.alpha):
+    tags = tag_phases(emission, default_couplings("a1", "a2"))
+    for outcome in homodyne_discriminate(emission, tags, theta=args.theta, alpha=args.alpha):
         print(f"  branch {outcome.branch}: p = {outcome.probability:.4f}, "
               f"x = {outcome.x:.4f}, phi = {outcome.phi:.4f}")
         show_state(feed_forward(outcome), indent="    ")
 
     print("\n== fourfold coincidence branches ==")
-    for branch, conditional, joint in run_ghzps():
-        print(f"  branch {branch}: joint probability {joint:.6f}")
-        show_state(conditional, indent="    ")
+    for bs in branch_states(build_ghzps()):
+        print(f"  branch {bs.branch}: joint probability {bs.joint_probability:.6f}")
+        show_state(bs.conditional, indent="    ")
 
     print("\n== corrected channel output ==")
     report = run_full(noise=args.noise)

@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
 circuit-parse or network errors (a wrong detector structure, a
-non-finite, negative or overflowing probe setting, noise on a
-source-style network, or a sweep with no mixed-pass branch).  JSON
+miswired fan-out, a non-finite, negative or overflowing probe setting,
+noise on a source-style network, or a sweep with no mixed-pass branch).  JSON
 output is byte-deterministic for fixed inputs and seed: keys are sorted
 and floats use their shortest round-trip form.
 """

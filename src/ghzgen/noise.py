@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .qnd import NetworkError
 from .states import H, V, FockKet, PureState, Rail, fidelity, ket
 
 FAMILY_TAGS = ("psi", "psi0", "psi1", "psi2")
@@ -124,13 +125,13 @@ def classify_family(
     """Identify the channel state among the reachable families.
 
     Comparison is by fidelity, so global phase is irrelevant.  A state
-    outside the set (e.g. one with a spatial-mode error, which the model
-    excludes) is rejected.
+    outside the set (a spatial-mode error, which the model excludes, or a
+    miswired fan-out) raises ``NetworkError``.
     """
     for fam in all_families():
         if fidelity(state, family_state(fam, slot_modes)) > 1.0 - CLASSIFY_TOL:
             return fam
-    raise ValueError("state does not match any depolarization family")
+    raise NetworkError("state does not match any depolarization family")
 
 
 def apply_pauli(

@@ -8,9 +8,10 @@ half-wave flips and the three polarization-resolving merges that turn
 the channel state into detector patterns).  Those files are the one
 definition of the builtin devices.  ``run_full`` drives source -> Kerr
 tagging -> homodyne branch split -> feed-forward -> fan-out ->
-coincidence -> optional channel noise -> fan-in -> pattern postselection
--> correction, and reports every branch/pattern with its exact
-probability chain.
+coincidence and trigger herald -> optional channel noise -> fan-in ->
+pattern postselection -> correction, and reports every branch/pattern
+with its exact probability chain.  A circuit the protocol cannot serve
+raises ``NetworkError`` at the stage that finds it.
 
 States are kept exact throughout; probabilities are squared norms, never
 sampled, unless an explicit seeded sample is requested.
@@ -28,6 +29,7 @@ from .elements import make_hwp90
 from .network import (
     ChannelSlot,
     CircuitNetwork,
+    DetectorGroup,
     NetworkError,
     NetworkSettings,
     NetworkStructure,
@@ -54,14 +56,13 @@ from .qnd import (
 )
 from .source import CaseWeights, dual_pass_emission
 from .states import (
+    FockKet,
     ModeTransform,
     PureState,
     compose,
     entanglement_summary,
-    factor_out_mode,
     fidelity,
     ket,
-    merge_spatial_modes,
     phase_fixed,
     project_occupancy,
 )
@@ -138,7 +139,9 @@ def lookup_correction(
 
     A mirrored family reaches the same two patterns as its base family
     with the two conditional states exchanged, so it uses the base rows
-    with the operator assignments swapped between the patterns.
+    with the operator assignments swapped between the patterns.  A
+    pattern outside the family's two rows means the circuit is miswired
+    and raises ``NetworkError``.
     """
     if isinstance(family, str):
         if family != PHI_PLUS:
@@ -155,9 +158,9 @@ def lookup_correction(
         return ops_a
     if pattern.shape == shape_b:
         return ops_b
-    raise ValueError(
+    raise NetworkError(
         f"pattern {pattern.label} is unreachable for this family "
-        "(upstream wiring bug?)"
+        "(miswired circuit?)"
     )
 
 
@@ -206,7 +209,7 @@ def apply_corrections(
 class BranchState:
     """One homodyne branch carried to the channel boundary.
 
-    ``conditional`` is normalized, trigger factored out, supported on the
+    ``conditional`` is normalized, trigger heralded away, supported on the
     channel (or detector-arm) modes; ``coincidence_probability`` is the
     chance the branch passes fourfold coincidence.
     """
@@ -229,18 +232,19 @@ def branch_states(
     structure: NetworkStructure | None = None,
     rng: Generator | np.random.Generator | None = None,
 ) -> list[BranchState]:
-    """Emission through fan-out and fourfold coincidence, per branch.
+    """Emission through fan-out, fourfold coincidence and the trigger herald,
+    per branch.
 
     ``rng``, a generator with numpy's ``.normal``/``.random``, samples the
     homodyne records (see ``homodyne_discriminate``)."""
     if network.source is None:
-        raise ValueError("network declares no source")
+        raise NetworkError("network declares no source")
     structure = structure or analyze(network)
     settings = network.settings
     emission = dual_pass_emission(network.source.weights)
-    tagged = tag_phases(emission, network.couplings)
+    tags = tag_phases(emission, network.couplings)
     outcomes = homodyne_discriminate(
-        tagged, theta=settings.theta, alpha=settings.alpha, rng=rng
+        emission, tags, theta=settings.theta, alpha=settings.alpha, rng=rng
     )
     fan_out = network.elements[: structure.boundary]
     trigger = network.trigger
@@ -251,33 +255,39 @@ def branch_states(
         conditional, prob = project_occupancy(state, groups)
         if prob == 0.0:
             continue
-        merged = merge_spatial_modes(
-            conditional, {m: trigger.name for m in trigger.modes}
-        )
-        _, sans_trigger = factor_out_mode(merged, trigger.name)
         results.append(
             BranchState(
                 outcome=outcome,
-                conditional=sans_trigger,
+                conditional=_herald(conditional, trigger),
                 coincidence_probability=prob,
             )
         )
     return results
 
 
-def run_ghzps(
-    weights: CaseWeights | None = None,
-    *,
-    theta: float | None = None,
-    alpha: float | None = None,
-) -> list[tuple[str, PureState, float]]:
-    """Fan-out stage only: per branch, the fourfold-coincidence
-    conditional state (trigger factored out) and its joint probability."""
-    network = build_ghzps().with_overrides(weights, theta, alpha)
-    return [
-        (bs.branch, bs.conditional, bs.joint_probability)
-        for bs in branch_states(network)
-    ]
+def _herald(state: PureState, trigger: DetectorGroup) -> PureState:
+    """Drop the trigger photon from every ket of a coincidence conditional.
+
+    ``project_occupancy`` has left exactly one photon on the trigger's
+    modes.  The rest is a heralded state only if that photon is in a
+    product with it: the same polarization in every ket, and no two kets
+    told apart by the trigger path alone.  Amplitudes are copied as they
+    are, in the same order.
+    """
+    modes = set(trigger.modes)
+    fired = None
+    rest: dict[FockKet, complex] = {}
+    for k, amp in state.terms.items():
+        pols = [r.pol for r, _ in k if r.mode in modes]
+        if fired is None:
+            fired = pols
+        elif pols != fired:
+            raise NetworkError(f"the {trigger.name} photon is entangled with the rest")
+        kept = FockKet((r, n) for r, n in k if r.mode not in modes)
+        if kept in rest:
+            raise NetworkError(f"two {trigger.name} paths interfere at {kept}")
+        rest[kept] = amp
+    return PureState(rest)
 
 
 # --- full runs -----------------------------------------------------------
@@ -577,8 +587,8 @@ def verify_reference_states() -> list[dict]:
     tol = 1e-12
     checks = []
 
-    by_branch = {b: (s, p) for b, s, p in run_ghzps()}
-    a_state, a_prob = by_branch["A"]
+    by_branch = {bs.branch: bs for bs in branch_states(build_ghzps())}
+    a_state, a_prob = by_branch["A"].conditional, by_branch["A"].joint_probability
     amps = [amp for _, amp in phase_fixed(a_state).sorted_terms()]
     amps_ok = all(abs(amp - 0.5) <= tol for amp in amps)
     fid_a = fidelity(a_state, branch_a_literal())
@@ -591,7 +601,7 @@ def verify_reference_states() -> list[dict]:
         }
     )
 
-    b_state, b_prob = by_branch["B"]
+    b_state, b_prob = by_branch["B"].conditional, by_branch["B"].joint_probability
     fid_b = fidelity(b_state, branch_b_literal())
     checks.append(
         {

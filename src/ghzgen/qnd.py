@@ -38,12 +38,13 @@ _TAG_TOL = 1e-9
 
 class NetworkError(ValueError):
     """A network or its settings cannot serve the requested run: a wrong
-    detector structure, Kerr couplings that tag a ket outside the protocol
-    classes, a non-finite, negative or overflowing probe setting, or an
-    operation the network's style or weights do not support.  Bad input,
-    not an engine fault.  It lives here rather than in ``network``, which
-    imports this module, so that branch discrimination can raise it;
-    ``network`` re-exports it."""
+    detector structure, a miswired fan-out, Kerr couplings that tag a ket
+    outside the protocol classes, a non-finite, negative or overflowing
+    probe setting, or an operation the network's style or weights do not
+    support.  Bad input, not an engine fault.  It lives here rather than
+    in ``network``, which imports this module, so that branch
+    discrimination and noise classification can raise it; ``network``
+    re-exports it."""
 
 
 @dataclass(frozen=True)
@@ -64,23 +65,16 @@ def default_couplings(upper: str = "a1", lower: str = "a2") -> tuple[KerrCouplin
     )
 
 
-@dataclass(frozen=True)
-class TaggedState:
-    """A state with the probe phase (in units of theta) of every ket."""
-
-    state: PureState
-    tags: Mapping[FockKet, float]
-
-
-def tag_phases(state: PureState, couplings: Sequence[KerrCoupling]) -> TaggedState:
+def tag_phases(
+    state: PureState, couplings: Sequence[KerrCoupling]
+) -> dict[FockKet, float]:
+    """The probe phase, in units of theta, that each ket of ``state``
+    imprints through the ``couplings``."""
     per_rail: dict[Rail, float] = {}
     for c in couplings:
         rail = Rail(c.mode, c.pol)
         per_rail[rail] = per_rail.get(rail, 0.0) + c.units
-    tags = {
-        k: sum(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms
-    }
-    return TaggedState(state=state, tags=tags)
+    return {k: sum(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,14 @@ class QndOutcome:
 
 
 def homodyne_discriminate(
-    tagged: TaggedState,
+    state: PureState,
+    tags: Mapping[FockKet, float],
     theta: float = DEFAULT_THETA,
     alpha: float = DEFAULT_ALPHA,
     rng: Generator | np.random.Generator | None = None,
 ) -> list[QndOutcome]:
-    """Split a tagged state into its homodyne branches.
+    """Split ``state`` into its homodyne branches by the ``tags`` of
+    ``tag_phases``.
 
     Deterministic by default: the quadrature record x sits at the branch
     mean, so phi(x) = 0.  Passing ``rng``, a generator with numpy's
@@ -117,8 +113,8 @@ def homodyne_discriminate(
     """
     sides: dict[str, dict[FockKet, complex]] = {"A": {}, "B": {}}
     signs: dict[FockKet, int] = {}
-    for k, amp in tagged.state.terms.items():
-        t = tagged.tags[k]
+    for k, amp in state.terms.items():
+        t = tags[k]
         # the range test goes first: round() fails on an infinite or NaN tag
         if not -1.5 < t < 1.5 or abs(t - round(t)) > _TAG_TOL:
             raise NetworkError(
@@ -127,7 +123,7 @@ def homodyne_discriminate(
             )
         signs[k] = round(t)
         sides["A" if signs[k] else "B"][k] = amp
-    total = tagged.state.norm() ** 2
+    total = state.norm() ** 2
     if total == 0.0:
         raise ValueError("cannot discriminate the zero state")
     outcomes: list[QndOutcome] = []

@@ -22,10 +22,15 @@ LOWER_ARM = ("a2", "b2")
 # classical uniform choice over (pass i, pass j): (1,1), (2,2), {(1,2),(2,1)}
 DEFAULT_WEIGHTS = (0.25, 0.25, 0.5)
 
+# A case's smallest emission amplitude is sqrt(w) / 2, and PureState drops
+# amplitudes under PRUNE_TOL, which would erase a case with w < 4e-24
+# without a word.  The floor, (100 PRUNE_TOL)^2, keeps it at 50 PRUNE_TOL.
+MIN_CASE_WEIGHT = 1e-20
+
 
 @dataclass(frozen=True)
 class CaseWeights:
-    """Probability weights of the three two-pair emission cases."""
+    """Weights of the three two-pair emission cases, each 0 or >= MIN_CASE_WEIGHT."""
 
     upper_upper: float = DEFAULT_WEIGHTS[0]
     lower_lower: float = DEFAULT_WEIGHTS[1]
@@ -37,6 +42,8 @@ class CaseWeights:
             raise ValueError(f"case weights must be finite, got {w}")
         if any(x < 0 for x in w):
             raise ValueError(f"negative case weight in {w}")
+        if any(0 < x < MIN_CASE_WEIGHT for x in w):
+            raise ValueError(f"nonzero case weight under {MIN_CASE_WEIGHT} in {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"case weights must sum to 1, got {sum(w)!r}")
 

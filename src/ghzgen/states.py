@@ -95,14 +95,6 @@ class FockKet:
         mode_set = set(modes)
         return sum(n for r, n in self._occ if r.mode in mode_set)
 
-    def restrict(self, modes: Iterable[str]) -> "FockKet":
-        mode_set = set(modes)
-        return FockKet((r, n) for r, n in self._occ if r.mode in mode_set)
-
-    def drop_modes(self, modes: Iterable[str]) -> "FockKet":
-        mode_set = set(modes)
-        return FockKet((r, n) for r, n in self._occ if r.mode not in mode_set)
-
     def __iter__(self) -> Iterator[tuple[Rail, int]]:
         return iter(self._occ)
 
@@ -460,7 +452,7 @@ def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:
     return state
 
 
-# --- projections and mode surgery ---------------------------------------
+# --- projections ---------------------------------------------------------
 
 
 def project_occupancy(
@@ -482,51 +474,6 @@ def project_occupancy(
     if projected.is_zero():
         return projected, 0.0
     return projected.normalized(), prob
-
-
-def merge_spatial_modes(state: PureState, mapping: Mapping[str, str]) -> PureState:
-    """Identify spatial modes (e.g. the two trigger paths) by relabeling.
-
-    Raises if the identification is not an isometry on this particular
-    state: either two rails inside one ket land on the same rail, or two
-    distinct kets become equal.  Amplitudes are never rescaled.
-    """
-    out: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
-        seen: dict[Rail, int] = {}
-        for rail, n in k:
-            new_rail = Rail(mapping.get(rail.mode, rail.mode), rail.pol)
-            if new_rail in seen:
-                raise ValueError(
-                    f"mode merge collides inside {k}: two rails map to {new_rail}"
-                )
-            seen[new_rail] = n
-        new_ket = FockKet(seen)
-        if new_ket in out:
-            raise ValueError(f"mode merge identifies distinct kets at {new_ket}")
-        out[new_ket] = amp
-    return PureState(out)
-
-
-def factor_out_mode(state: PureState, mode: str) -> tuple[FockKet, PureState]:
-    """Split off a spatial mode that is in a product with the rest.
-
-    Returns (content of the mode as a sub-ket, remaining state).  Raises if
-    the mode's content differs between kets, i.e. the state does not
-    factorize over this cut.
-    """
-    content: FockKet | None = None
-    rest: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
-        local = k.restrict((mode,))
-        if content is None:
-            content = local
-        elif local != content:
-            raise ValueError(f"mode {mode!r} is entangled with the rest")
-        rest[k.drop_modes((mode,))] = amp
-    if content is None:
-        raise ValueError("cannot factor a mode out of the zero state")
-    return content, PureState(rest)
 
 
 # --- polarization-versus-path entanglement -------------------------------

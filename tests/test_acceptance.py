@@ -22,6 +22,7 @@ from ghzgen import (
     all_families,
     analyze,
     apply_errors,
+    branch_states,
     build_fig3,
     build_ghzps,
     classify_family,
@@ -41,7 +42,6 @@ from ghzgen import (
     pretty_print,
     project_occupancy,
     run_full,
-    run_ghzps,
     tag_phases,
     two_pair_product,
 )
@@ -91,9 +91,8 @@ def _branch_b_expected():
 
 
 def test_criterion_01_branch_state_reproduction():
-    results = {branch: (s, p) for branch, s, p in run_ghzps()}
-    a_state, _ = results["A"]
-    b_state, _ = results["B"]
+    states = {bs.branch: bs.conditional for bs in branch_states(build_ghzps())}
+    a_state, b_state = states["A"], states["B"]
     fid_a = fidelity(a_state, _branch_a_expected())
     fid_b = fidelity(b_state, _branch_b_expected())
     ok = (
@@ -144,7 +143,7 @@ def test_criterion_02_single_photon_maps():
 
 
 def test_criterion_03_factorization_claim():
-    states = {branch: s for branch, s, _ in run_ghzps()}
+    states = {bs.branch: bs.conditional for bs in branch_states(build_ghzps())}
     pairs = (("D1", "d1"), ("D2", "d2"), ("D3", "d3"))
     a_summary = entanglement_summary(states["A"], pairs)
     b_summary = entanglement_summary(states["B"], pairs)
@@ -310,8 +309,8 @@ def test_criterion_06_pauli_closure():
 
 def test_criterion_07_qnd_properties():
     emission = dual_pass_emission()
-    tagged = tag_phases(emission, default_couplings("a1", "a2"))
-    outcomes = homodyne_discriminate(tagged)
+    tags = tag_phases(emission, default_couplings("a1", "a2"))
+    outcomes = homodyne_discriminate(emission, tags)
     total = sum(o.probability for o in outcomes)
     by_branch = {o.branch: o for o in outcomes}
 
@@ -325,7 +324,7 @@ def test_criterion_07_qnd_properties():
                 photons_ok = False
 
     # measurement records drawn at random must still feed forward exactly
-    sampled = homodyne_discriminate(tagged, rng=np.random.default_rng(11))
+    sampled = homodyne_discriminate(emission, tags, rng=np.random.default_rng(11))
     sampled_a = next(o for o in sampled if o.branch == "A")
     sampled_coherence = fidelity(feed_forward(sampled_a), same_pass)
 

@@ -87,12 +87,13 @@ def _noisy_circuit(tmp_path):
     return str(path)
 
 
-def _kerr_circuit(units):
-    # fig3 with the coupling on the a1 H rail set to ``units``
+def _edited_fig3(line, replacement):
+    # fig3 with one line replaced (or deleted, for an empty replacement)
     def write(tmp_path):
         text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
-        path = tmp_path / "kerr.onet"
-        path.write_text(text.replace("kerr a1 H 0.5", f"kerr a1 H {units}"), encoding="utf-8")
+        assert line in text
+        path = tmp_path / "edited.onet"
+        path.write_text(text.replace(line, replacement), encoding="utf-8")
         return str(path)
 
     return write
@@ -104,14 +105,27 @@ def _non_utf8_circuit(tmp_path):
     return str(path)
 
 
+def _empty_circuit(tmp_path):
+    path = tmp_path / "empty.onet"
+    path.write_text("# nothing declared\n", encoding="utf-8")
+    return str(path)
+
+
 # placeholders in argv for circuit files written per test
 _CIRCUIT_FILES = {
     "<two-groups>": _two_group_circuit,
     "<noisy>": _noisy_circuit,
     "<non-utf8>": _non_utf8_circuit,
-    "<nan-kerr>": _kerr_circuit("nan"),
-    "<miswired-kerr>": _kerr_circuit("0.25"),
-    "<overflowing-kerr>": _kerr_circuit("1e308"),
+    "<empty>": _empty_circuit,
+    "<nan-kerr>": _edited_fig3("kerr a1 H 0.5", "kerr a1 H nan"),
+    "<miswired-kerr>": _edited_fig3("kerr a1 H 0.5", "kerr a1 H 0.25"),
+    "<overflowing-kerr>": _edited_fig3("kerr a1 H 0.5", "kerr a1 H 1e308"),
+    # miswired generators: the channel state is no depolarization family,
+    # a pattern outside the correction table fires, or a beam splitter in
+    # place of the trigger PBS entangles the trigger photon
+    "<hwp45-u2>": _edited_fig3("hwp90 u2", "hwp45 u2"),
+    "<no-hwp90-D1>": _edited_fig3("hwp90 D1\n", ""),
+    "<bs-trigger>": _edited_fig3("pbs a1 -> T1 va1", "bs a1 -> T1 va1"),
 }
 
 
@@ -135,6 +149,17 @@ _CIRCUIT_FILES = {
         (("dump", "--network", "<miswired-kerr>"), "outside the protocol classes"),
         (("analyze-entanglement", "--network", "<miswired-kerr>"), "outside the protocol classes"),
         (("sweep-noise", "--network", "<overflowing-kerr>"), "outside the protocol classes"),
+        (("run", "--network", "<hwp45-u2>"), "does not match any depolarization family"),
+        (("sweep-noise", "--network", "<hwp45-u2>"), "does not match any depolarization family"),
+        (("run", "--network", "<no-hwp90-D1>"), "is unreachable for this family"),
+        (("sweep-noise", "--network", "<no-hwp90-D1>"), "is unreachable for this family"),
+        (("run", "--network", "<bs-trigger>"), "photon is entangled with the rest"),
+        (("dump", "--network", "<bs-trigger>"), "photon is entangled with the rest"),
+        (("analyze-entanglement", "--network", "<bs-trigger>"), "photon is entangled with the rest"),
+        (("sweep-noise", "--network", "<bs-trigger>"), "photon is entangled with the rest"),
+        (("run", "--weights", "1e-300,1e-300,1"), "nonzero case weight under"),
+        (("run", "--weights", "0.5,0.5,4e-24"), "nonzero case weight under"),
+        (("dump", "--network", "<empty>"), "declares no source"),
     ],
     ids=[
         "noise-on-source-style",
@@ -154,6 +179,17 @@ _CIRCUIT_FILES = {
         "miswired-kerr-dump",
         "miswired-kerr-entanglement",
         "overflowing-kerr-sweep",
+        "non-family-channel-run",
+        "non-family-channel-sweep",
+        "unreachable-pattern-run",
+        "unreachable-pattern-sweep",
+        "entangled-trigger-run",
+        "entangled-trigger-dump",
+        "entangled-trigger-entanglement",
+        "entangled-trigger-sweep",
+        "tiny-weights",
+        "weight-under-floor",
+        "dump-without-source",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
@@ -163,6 +199,47 @@ def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+_SWAPS = {"hwp90": "hwp45", "hwp45": "hwp90", "pbs": "bs", "bs": "pbs"}
+_EDITABLE = {"kerr", "route", *_SWAPS}
+
+
+def _one_line_mutants(builtin):
+    # every deletion of an element or kerr line, and every hwp90/hwp45 and
+    # pbs/bs swap, of a packaged circuit
+    lines = (resources.files("ghzgen") / "fixtures" / f"{builtin}.onet").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    for i, line in enumerate(lines):
+        head, _, rest = line.partition(" ")
+        if head in _EDITABLE:
+            yield f"{builtin}:{i + 1} deleted", lines[:i] + lines[i + 1 :]
+        if head in _SWAPS:
+            swapped = f"{_SWAPS[head]} {rest}"
+            yield f"{builtin}:{i + 1} {swapped}", lines[:i] + [swapped] + lines[i + 1 :]
+
+
+def test_circuit_mutations_never_raise(capsys, tmp_path):
+    # a miswired circuit is bad input: a report, or exit 2 with one line
+    mutants = [*_one_line_mutants("fig1"), *_one_line_mutants("fig3")]
+    assert len(mutants) == 80
+    path = tmp_path / "mutant.onet"
+    allowed = {"run": {0, 2}, "dump": {0, 2}, "analyze-entanglement": {0, 1, 2}}
+    failures = []
+    for label, lines in mutants:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command, codes in allowed.items():
+            try:
+                code, _, err = _run(capsys, command, "--network", str(path))
+            except Exception as exc:
+                capsys.readouterr()
+                failures.append(f"{label}: {command} raised {exc!r}")
+                continue
+            one_error_line = len(err.splitlines()) == 1 and err.startswith("error: ")
+            if code not in codes or (code == 2 and not one_error_line):
+                failures.append(f"{label}: {command} exit {code}, stderr {err!r}")
+    assert failures == []
 
 
 def test_run_rejects_sweep_style_noise(capsys):

@@ -183,6 +183,17 @@ def test_bad_probe_setting_is_bad_parameter(line):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["set case_weights 0.5 0.5 1e-24\nsource pdc2\n", "source pdc2 weights 1e-300 1e-300 1\n"],
+)
+def test_tiny_case_weight_is_bad_parameter(text):
+    # a weight this small would be pruned away with its whole case
+    err = _error(text, elaborate_too=True)
+    assert err.kind == "bad-parameter"
+    assert "nonzero case weight under" in str(err)
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("source pdc2\nset theta 0.01\nset alpha 1e200\n", 3),

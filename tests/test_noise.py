@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ghzgen import (
     FockKet,
+    NetworkError,
     NoiseFamily,
     PSI_PLUS,
     PauliError,
@@ -64,8 +65,9 @@ def test_classify_family_roundtrip():
 
 
 def test_classify_rejects_outsiders():
-    # a single product word is no superposition at all
-    with pytest.raises(ValueError):
+    # a single product word is no superposition at all; a miswired
+    # circuit is what brings one here, so it is a usage error
+    with pytest.raises(NetworkError):
         classify_family(ket(("d1", "H"), ("d2", "H"), ("d3", "H")))
 
 

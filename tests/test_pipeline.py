@@ -2,6 +2,7 @@
 full runs and the literal reference states."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from ghzgen import (
@@ -16,6 +17,7 @@ from ghzgen import (
     analyze,
     branch_a_literal,
     branch_b_literal,
+    branch_states,
     build_fig3,
     build_ghzps,
     dual_pass_emission,
@@ -30,12 +32,13 @@ from ghzgen import (
     parse,
     postselect_coincidence,
     run_full,
-    run_ghzps,
     sweep_noise,
+    two_pair_product,
     verify_correction_table,
     verify_reference_states,
 )
 from ghzgen.dsl import builtin_text
+from ghzgen.source import MIN_CASE_WEIGHT
 
 TOL = 1e-12
 
@@ -56,17 +59,22 @@ def test_ghz_target_literal():
 # --- fan-out stage --------------------------------------------------------
 
 
+def _fan_out(weights=None):
+    # branch label -> BranchState of the fan-out network under ``weights``
+    return {bs.branch: bs for bs in branch_states(build_ghzps().with_overrides(weights))}
+
+
 def test_fan_out_branch_conditionals():
-    results = {branch: (state, joint) for branch, state, joint in run_ghzps()}
+    results = _fan_out()
     assert set(results) == {"A", "B"}
 
-    a_state, a_joint = results["A"]
-    assert a_joint == pytest.approx(1 / 24, abs=TOL)
-    assert fidelity(a_state, branch_a_literal()) == pytest.approx(1.0, abs=TOL)
+    a = results["A"]
+    assert a.joint_probability == pytest.approx(1 / 24, abs=TOL)
+    assert fidelity(a.conditional, branch_a_literal()) == pytest.approx(1.0, abs=TOL)
 
-    b_state, b_joint = results["B"]
-    assert b_joint == pytest.approx(1 / 16, abs=TOL)
-    assert fidelity(b_state, branch_b_literal()) == pytest.approx(1.0, abs=TOL)
+    b = results["B"]
+    assert b.joint_probability == pytest.approx(1 / 16, abs=TOL)
+    assert fidelity(b.conditional, branch_b_literal()) == pytest.approx(1.0, abs=TOL)
 
 
 @pytest.mark.parametrize(
@@ -81,23 +89,43 @@ def test_fan_out_joint_probabilities_scale_with_weights(weights):
     # same-pass cases pass coincidence at 1/12 each, the mixed case at 1/8;
     # the branch conditionals themselves do not depend on the split
     w1, w2, w3 = weights
-    results = {b: (s, j) for b, s, j in run_ghzps(CaseWeights(*weights))}
-    _, a_joint = results["A"]
-    _, b_joint = results["B"]
-    assert a_joint == pytest.approx((w1 + w2) / 12, abs=TOL)
-    assert b_joint == pytest.approx(w3 / 8, abs=TOL)
-    assert fidelity(results["B"][0], branch_b_literal()) == pytest.approx(
+    results = _fan_out(CaseWeights(*weights))
+    assert results["A"].joint_probability == pytest.approx((w1 + w2) / 12, abs=TOL)
+    assert results["B"].joint_probability == pytest.approx(w3 / 8, abs=TOL)
+    assert fidelity(results["B"].conditional, branch_b_literal()) == pytest.approx(
         1.0, abs=TOL
     )
 
 
 def test_fan_out_unbalanced_weights_reshape_product_branch():
     # unequal same-pass weights leave the two spatial words unbalanced
-    results = {b: (s, j) for b, s, j in run_ghzps(CaseWeights(0.5, 0.25, 0.25))}
-    a_state, _ = results["A"]
+    a_state = _fan_out(CaseWeights(0.5, 0.25, 0.25))["A"].conditional
     values = sorted(abs(amp) for _, amp in a_state.sorted_terms())
     # weight ratio 2:1 puts amplitude ratio sqrt(2):1 between the arms
     assert values[0] * 2**0.5 == pytest.approx(values[-1], abs=1e-9)
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, MIN_CASE_WEIGHT]) | st.floats(MIN_CASE_WEIGHT, 0.3),
+        min_size=3,
+        max_size=3,
+    ),
+    st.integers(0, 2),
+)
+@example([MIN_CASE_WEIGHT, MIN_CASE_WEIGHT, 0.0], 2)
+@example([0.0, 0.0, MIN_CASE_WEIGHT], 0)
+def test_property_no_admitted_case_vanishes(small, big):
+    # two weights are 0 or admitted small ones, the third takes the rest
+    small[big] = 0.0
+    small[big] = 1.0 - sum(small)
+    weights = CaseWeights(*small)
+    w1, w2, w3 = small
+    cases = [case for case, w in zip(((1, 1), (2, 2), (1, 2)), small) if w]
+    expected = {k for case in cases for k in two_pair_product(*case).terms}
+    assert set(dual_pass_emission(weights).terms) == expected
+    branches = {e.branch for e in run_full(weights=weights).entries}
+    assert branches == {b for b, w in (("A", w1 + w2), ("B", w3)) if w}
 
 
 def test_engine_fan_out_matches_dense_oracle():
@@ -186,12 +214,15 @@ def test_lookup_correction_mirrored_swaps_ops():
 def test_lookup_correction_product_branch():
     assert lookup_correction(PHI_PLUS, _pattern("ttr")) == ("I", "I", "I")
     assert lookup_correction(PHI_PLUS, _pattern("rrt")) == ("I", "I", "I")
-    with pytest.raises(ValueError):
+    # an unknown label is a programming error, not a circuit one
+    with pytest.raises(ValueError) as excinfo:
         lookup_correction("bell", _pattern("ttr"))
+    assert not isinstance(excinfo.value, NetworkError)
 
 
 def test_lookup_correction_unreachable_pattern():
-    with pytest.raises(ValueError):
+    # reachable only through a miswired circuit, so it is a usage error
+    with pytest.raises(NetworkError):
         lookup_correction(NoiseFamily("psi", 1), _pattern("ttt"))
 
 

@@ -38,13 +38,14 @@ def test_default_couplings_signs():
 def test_tags_sort_the_three_cases():
     couplings = default_couplings()
     for case, expected in (((1, 1), 1.0), ((2, 2), -1.0), ((1, 2), 0.0)):
-        tagged = tag_phases(two_pair_product(*case), couplings)
-        assert set(tagged.tags.values()) == {expected}
+        tags = tag_phases(two_pair_product(*case), couplings)
+        assert set(tags.values()) == {expected}
 
 
 def test_branch_probabilities_default_weights():
-    tagged = tag_phases(dual_pass_emission(), default_couplings())
-    outcomes = homodyne_discriminate(tagged)
+    state = dual_pass_emission()
+    tags = tag_phases(state, default_couplings())
+    outcomes = homodyne_discriminate(state, tags)
     probs = {o.branch: o.probability for o in outcomes}
     assert probs["A"] == pytest.approx(0.5, abs=1e-12)
     assert probs["B"] == pytest.approx(0.5, abs=1e-12)
@@ -52,8 +53,9 @@ def test_branch_probabilities_default_weights():
 
 
 def test_deterministic_record_sits_at_branch_mean():
-    tagged = tag_phases(dual_pass_emission(), default_couplings())
-    a, b = homodyne_discriminate(tagged)
+    state = dual_pass_emission()
+    tags = tag_phases(state, default_couplings())
+    a, b = homodyne_discriminate(state, tags)
     assert a.branch == "A" and b.branch == "B"
     assert a.x == pytest.approx(2 * DEFAULT_ALPHA * math.cos(DEFAULT_THETA))
     assert b.x == pytest.approx(2 * DEFAULT_ALPHA)
@@ -61,8 +63,9 @@ def test_deterministic_record_sits_at_branch_mean():
 
 
 def test_branch_conditionals_preserve_photon_numbers():
-    tagged = tag_phases(dual_pass_emission(), default_couplings())
-    for outcome in homodyne_discriminate(tagged):
+    state = dual_pass_emission()
+    tags = tag_phases(state, default_couplings())
+    for outcome in homodyne_discriminate(state, tags):
         for k, _ in outcome.conditional.sorted_terms():
             assert sum(n for _, n in k.occupations) == 4
 
@@ -72,8 +75,8 @@ def test_branch_a_keeps_sign_coherence():
     up = two_pair_product(1, 1)
     down = two_pair_product(2, 2)
     state = (up + down) * (0.5 ** 0.5)
-    tagged = tag_phases(state, default_couplings())
-    (outcome,) = homodyne_discriminate(tagged)
+    tags = tag_phases(state, default_couplings())
+    (outcome,) = homodyne_discriminate(state, tags)
     assert outcome.branch == "A"
     assert outcome.probability == pytest.approx(1.0)
     assert fidelity(outcome.conditional, state) == pytest.approx(1.0, abs=1e-12)
@@ -83,9 +86,9 @@ def test_sampled_record_phases_are_undone_by_feed_forward():
     up = two_pair_product(1, 1)
     down = two_pair_product(2, 2)
     state = (up + down) * (0.5 ** 0.5)
-    tagged = tag_phases(state, default_couplings())
+    tags = tag_phases(state, default_couplings())
     rng = np.random.default_rng(11)
-    (outcome,) = homodyne_discriminate(tagged, rng=rng)
+    (outcome,) = homodyne_discriminate(state, tags, rng=rng)
     assert outcome.phi != 0.0
     # the raw conditional is dephased between the two tag signs
     assert fidelity(outcome.conditional, state) < 1.0
@@ -94,24 +97,24 @@ def test_sampled_record_phases_are_undone_by_feed_forward():
 
 
 def test_feed_forward_is_identity_on_branch_b():
-    tagged = tag_phases(dual_pass_emission(), default_couplings())
-    _, b = homodyne_discriminate(tagged)
+    state = dual_pass_emission()
+    tags = tag_phases(state, default_couplings())
+    _, b = homodyne_discriminate(state, tags)
     assert feed_forward(b) == b.conditional
 
 
 def test_discriminate_rejects_stray_tags():
     state = ket(("a1", "H"))
-    tagged = tag_phases(state, (KerrCoupling("a1", "H", 0.3),))
+    tags = tag_phases(state, (KerrCoupling("a1", "H", 0.3),))
     with pytest.raises(ValueError):
-        homodyne_discriminate(tagged)
+        homodyne_discriminate(state, tags)
 
 
 def test_discriminate_rejects_zero_state():
     from ghzgen import PureState
 
-    tagged = tag_phases(PureState(), default_couplings())
     with pytest.raises(ValueError):
-        homodyne_discriminate(tagged)
+        homodyne_discriminate(PureState(), {})
 
 
 def test_probe_distinguishability_value():
@@ -127,9 +130,10 @@ def test_probe_distinguishability_value():
 
 
 def test_sampling_is_deterministic_per_seed():
-    tagged = tag_phases(dual_pass_emission(), default_couplings())
-    a1 = homodyne_discriminate(tagged, rng=np.random.default_rng(5))
-    a2 = homodyne_discriminate(tagged, rng=np.random.default_rng(5))
+    state = dual_pass_emission()
+    tags = tag_phases(state, default_couplings())
+    a1 = homodyne_discriminate(state, tags, rng=np.random.default_rng(5))
+    a2 = homodyne_discriminate(state, tags, rng=np.random.default_rng(5))
     assert [(o.branch, o.x, o.phi) for o in a1] == [
         (o.branch, o.x, o.phi) for o in a2
     ]
@@ -145,8 +149,9 @@ def test_sampling_is_deterministic_per_seed():
 def test_property_branch_probabilities_sum_to_one(raw):
     total = sum(raw)
     weights = CaseWeights(*(w / total for w in raw))
-    tagged = tag_phases(dual_pass_emission(weights), default_couplings())
-    outcomes = homodyne_discriminate(tagged)
+    state = dual_pass_emission(weights)
+    tags = tag_phases(state, default_couplings())
+    outcomes = homodyne_discriminate(state, tags)
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
     # mixed-case weight feeds branch B, the rest branch A
     probs = {o.branch: o.probability for o in outcomes}

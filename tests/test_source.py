@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ghzgen import (
     CaseWeights,
@@ -16,6 +16,8 @@ from ghzgen import (
     pdc_pair,
     two_pair_product,
 )
+from ghzgen.source import MIN_CASE_WEIGHT
+from ghzgen.states import PRUNE_TOL
 
 INV_SQRT2 = 2 ** -0.5
 INV_SQRT3 = 3 ** -0.5
@@ -73,6 +75,18 @@ def test_case_weights_validation():
         CaseWeights(math.nan, 0.5, 0.5)
 
 
+def test_case_weight_floor():
+    # the floor keeps a case's smallest emission amplitude, sqrt(w) / 2,
+    # well clear of pruning
+    assert 0.5 * math.sqrt(MIN_CASE_WEIGHT) >= 50 * PRUNE_TOL * (1 - 1e-12)
+    assert CaseWeights(0.5, 0.5, MIN_CASE_WEIGHT).mixed == MIN_CASE_WEIGHT
+    assert CaseWeights(0.5, 0.5, 0.0).mixed == 0.0
+    just_under = math.nextafter(MIN_CASE_WEIGHT, 0.0)
+    for w in ((0.5, 0.5, just_under), (just_under, 0.0, 1.0), (1e-300, 1e-300, 1.0)):
+        with pytest.raises(ValueError, match="nonzero case weight under"):
+            CaseWeights(*w)
+
+
 def test_dual_pass_emission_structure():
     s = dual_pass_emission()
     assert s.norm() == pytest.approx(1.0)
@@ -105,5 +119,8 @@ def test_dual_pass_emission_skips_zero_weights():
 )
 def test_property_emission_normalized_for_any_weights(raw):
     total = sum(raw)
-    weights = CaseWeights(*(w / total for w in raw))
+    normalized = [w / total for w in raw]
+    # a nonzero weight under the floor is rejected (test_case_weight_floor)
+    assume(all(w == 0 or w >= MIN_CASE_WEIGHT for w in normalized))
+    weights = CaseWeights(*normalized)
     assert dual_pass_emission(weights).norm() == pytest.approx(1.0, abs=1e-9)

@@ -3,6 +3,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,24 +13,30 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ghzgen import (
+    DetectorGroup,
     FockKet,
     ModeTransform,
+    NetworkError,
     PureState,
     Rail,
+    branch_states,
     build_fig3,
+    build_ghzps,
     dual_pass_emission,
+    elaborate,
     entanglement_summary,
-    factor_out_mode,
     feed_forward,
     fidelity,
     homodyne_discriminate,
     inner_product,
     ket,
-    merge_spatial_modes,
+    parse,
     phase_fixed,
     project_occupancy,
     tag_phases,
 )
+from ghzgen.dsl import builtin_text
+from ghzgen.pipeline import _herald
 from ghzgen.states import ISOMETRY_TOL, compose, to_json_terms
 
 import oracles
@@ -63,8 +70,6 @@ def test_fock_ket_queries():
     assert list(k) == list(k.occupations)
     assert k.count_in_modes(["a"]) == 3
     assert k.count_in_modes(["c"]) == 0
-    assert k.restrict(["b"]) == FockKet({Rail("b", "H"): 1})
-    assert k.drop_modes(["a"]) == FockKet({Rail("b", "H"): 1})
 
 
 def test_fock_ket_hash_is_the_occupation_hash():
@@ -303,39 +308,60 @@ def test_project_occupancy_empty_input():
     assert cond.is_zero()
 
 
+# the trigger herald: the detector T clicks on either of its two paths
+
+
+_TRIGGER = DetectorGroup("T", ("t1", "t2"))
+
+
 def test_merge_rejects_ket_identification():
-    # both kets collapse onto |H@t>, which must be rejected, not summed
-    s = ket(("t1", "H")) + ket(("t2", "H"))
-    with pytest.raises(ValueError):
-        merge_spatial_modes(s, {"t1": "t", "t2": "t"})
+    # both kets leave |H@x> once the trigger photon is dropped, so the two
+    # trigger paths would interfere; that is rejected, not summed
+    s = ket(("t1", "H"), ("x", "H")) + ket(("t2", "H"), ("x", "H"))
+    with pytest.raises(NetworkError, match="interfere"):
+        _herald(s, _TRIGGER)
 
 
-def test_merge_rejects_in_ket_collision():
-    s = ket(("t1", "H"), ("t2", "H"))
-    with pytest.raises(ValueError):
-        merge_spatial_modes(s, {"t1": "t", "t2": "t"})
+def test_herald_keeps_channel_mode_named_like_trigger():
+    # fig1 with its channel mode D3 renamed to T: nothing is relabelled,
+    # so the name cannot collide with the trigger detector's
+    text = re.sub(r"\bD3\b", "T", builtin_text("fig1"))
+    renamed = {bs.branch: bs for bs in branch_states(elaborate(parse(text)))}
+    assert renamed["A"].joint_probability == 0.041666666666666685
+    assert renamed["B"].joint_probability == 0.0625
+    for bs in branch_states(build_ghzps()):
+        expected = PureState(
+            {
+                FockKet((Rail("T" if r.mode == "D3" else r.mode, r.pol), n) for r, n in k): amp
+                for k, amp in bs.conditional.terms.items()
+            }
+        )
+        assert renamed[bs.branch].conditional == expected
 
 
 def test_merge_valid_disjoint_support():
-    s = ket(("t1", "H"), ("x", "V")) + ket(("t2", "H"), ("y", "V"))
-    merged = merge_spatial_modes(s, {"t1": "t", "t2": "t"})
-    assert merged.num_terms() == 2
-    for k, _ in merged.sorted_terms():
-        assert k.count_in_modes(["t"]) == 1
+    # kets that fired different trigger paths stay apart by their channel part
+    s = ket(("t1", "H"), ("x", "V"), amp=0.6) + ket(("t2", "H"), ("y", "V"), amp=-0.8j)
+    out = _herald(s, _TRIGGER)
+    assert list(out.terms.items()) == [
+        (FockKet({Rail("x", "V"): 1}), 0.6),
+        (FockKet({Rail("y", "V"): 1}), -0.8j),
+    ]
 
 
-def test_factor_out_mode_product():
-    s = (ket(("t", "H"))).product(ket(("a", "H")) + ket(("a", "V")))
-    content, rest = factor_out_mode(s, "t")
-    assert content == FockKet({Rail("t", "H"): 1})
-    assert rest.num_terms() == 2
-    assert rest.norm() == pytest.approx(s.norm())
+def test_herald_drops_trigger_from_product():
+    s = ket(("t1", "H")).product(ket(("a", "H")) + ket(("a", "V"), amp=-(2**-0.5)))
+    rest = _herald(s, _TRIGGER)
+    # amplitudes are copied as they are, in the same order
+    assert list(rest.terms) == [FockKet({Rail("a", p): 1}) for p in "HV"]
+    assert list(rest.terms.values()) == list(s.terms.values())
 
 
-def test_factor_out_mode_rejects_entangled():
-    s = ket(("t", "H"), ("a", "H")) + ket(("t", "V"), ("a", "V"))
-    with pytest.raises(ValueError):
-        factor_out_mode(s, "t")
+def test_herald_rejects_entangled_trigger():
+    for other in ("t1", "t2"):
+        s = ket(("t1", "H"), ("a", "H")) + ket((other, "V"), ("a", "V"))
+        with pytest.raises(NetworkError, match="entangled"):
+            _herald(s, _TRIGGER)
 
 
 # two positions, one photon each, on an upper (u) or a lower (l) path
@@ -699,8 +725,11 @@ def test_apply_chain_is_bit_exact_to_reference():
     # the real fan-out and fan-in chain, on every homodyne branch
     network = build_fig3()
     settings = network.settings
-    tagged = tag_phases(dual_pass_emission(), network.couplings)
-    for outcome in homodyne_discriminate(tagged, theta=settings.theta, alpha=settings.alpha):
+    emission = dual_pass_emission()
+    tags = tag_phases(emission, network.couplings)
+    for outcome in homodyne_discriminate(
+        emission, tags, theta=settings.theta, alpha=settings.alpha
+    ):
         state = feed_forward(outcome)
         for element in network.elements:
             expected = oracles.reference_apply(element, state)
