@@ -6,7 +6,7 @@ One statement per line; ``#`` starts a comment.  Grammar:
     set alpha 316.23          case_weights (three numbers), noise
     set noise X@1,Z@3         (a channel error spec)
     source pdc2 [weights w1 w2 w3]
-    kerr MODE POL UNITS       probe coupling on one rail
+    kerr MODE POL UNITS       probe coupling on one source-arm rail
     pbs IN1 [IN2] -> OUT_T OUT_R
     bs  IN1 [IN2] -> OUT1 OUT2
     hwp45 MODE
@@ -17,9 +17,9 @@ One statement per line; ``#`` starts a comment.  Grammar:
 ``parse`` turns text into a ``DslDocument`` and raises ``ParseError``
 (with line, column and an error kind) on anything malformed; it never
 raises anything else.  ``elaborate`` checks mode flow, every input must
-be a live declared mode and every output a fresh name, and builds the
-``CircuitNetwork``.  ``pretty_print`` emits canonical text that reparses
-to an equal document.
+be a live declared mode and every output a fresh name, checks that each
+``kerr`` line names a source arm, and builds the ``CircuitNetwork``.
+``pretty_print`` emits canonical text that reparses to an equal document.
 
 The ``pdc2`` source emits on the fixed arm names a1, b1 (first pass)
 and a2, b2 (second pass).  ``builtin_text`` reads the packaged circuits
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .network import (
     CircuitNetwork,
@@ -78,27 +78,37 @@ class ParseError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One parsed line: a head keyword and its typed payload.
 
     Source positions are carried for error reporting but do not take
-    part in equality, so a reparse of canonical text compares equal.
+    part in equality or hashing, so a reparse of canonical text compares
+    equal.
     """
 
     kind: str
     args: tuple
-    line: int = field(compare=False)
-    column: int = field(compare=False)
+    line: int
+    column: int
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args) == (other.kind, other.args)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash((self.kind, self.args))
 
 
-@dataclass(frozen=True)
-class DslDocument:
+class DslDocument(NamedTuple):
     statements: tuple[Statement, ...]
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     text: str
     column: int
 
@@ -336,7 +346,8 @@ def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
     Raises ParseError (with the statement's position) on flow violations:
     consuming a mode twice, feeding an element from an undeclared or
     already-consumed mode, redefining an existing mode, or detecting a
-    dead mode.
+    dead mode; and on a ``kerr`` line off the source arms, where the probe
+    would never act.
     """
     flow = _ModeFlow()
     elements = []
@@ -377,6 +388,13 @@ def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
                     stmt.line,
                     stmt.column,
                     "undeclared-mode",
+                )
+            if mode not in SOURCE_ARMS:
+                _fail(
+                    f"kerr mode {mode!r} is not a source arm ({', '.join(SOURCE_ARMS)})",
+                    stmt.line,
+                    stmt.column,
+                    "bad-parameter",
                 )
             couplings.append(KerrCoupling(mode=mode, pol=pol, units=units))
         elif stmt.kind in ("pbs", "bs"):

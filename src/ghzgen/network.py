@@ -8,12 +8,17 @@ belongs to which photon, where the channel (the noise insertion point)
 sits, and whether the network ends in polarization-resolving merges
 ("generator" style, like the full GHZ generator) or exposes the raw
 fan-out arms ("source" style).
+
+Every record here is an immutable named tuple.  ``SourceSpec`` and
+``NetworkSettings`` check their values in the constructor, so a changed
+copy goes through it (``with_settings``), never through ``_replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 from .elements import make_pbs
 from .qnd import DEFAULT_ALPHA, DEFAULT_THETA, KerrCoupling, NetworkError
@@ -23,29 +28,27 @@ from .states import ModeTransform
 TRIGGER_GROUP = "T"
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    kind: str
-    weights: CaseWeights
+class SourceSpec(namedtuple("SourceSpec", "kind weights")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.kind != "pdc2":
             raise ValueError(f"unknown source kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DetectorGroup:
+class DetectorGroup(NamedTuple):
     name: str
     modes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NetworkSettings:
-    theta: float = DEFAULT_THETA
-    alpha: float = DEFAULT_ALPHA
-    noise: str | None = None
+class NetworkSettings(
+    namedtuple(
+        "NetworkSettings", "theta alpha noise", defaults=(DEFAULT_THETA, DEFAULT_ALPHA, None)
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         # a NaN probe setting would turn every amplitude into NaN, which
         # pruning then drops without a word
         if not math.isfinite(self.theta):
@@ -56,14 +59,13 @@ class NetworkSettings:
             raise NetworkError(f"alpha squared must be finite, got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
-class CircuitNetwork:
+class CircuitNetwork(NamedTuple):
     name: str
     elements: tuple[ModeTransform, ...]
     couplings: tuple[KerrCoupling, ...] = ()
     detectors: tuple[DetectorGroup, ...] = ()
     source: SourceSpec | None = None
-    settings: NetworkSettings = field(default_factory=NetworkSettings)
+    settings: NetworkSettings = NetworkSettings()
 
     def detector(self, name: str) -> DetectorGroup | None:
         for group in self.detectors:
@@ -80,7 +82,8 @@ class CircuitNetwork:
         return tuple(g for g in self.detectors if g.name != TRIGGER_GROUP)
 
     def with_settings(self, **kwargs) -> "CircuitNetwork":
-        return replace(self, settings=replace(self.settings, **kwargs))
+        settings = NetworkSettings(**{**self.settings._asdict(), **kwargs})
+        return self._replace(settings=settings)
 
     def with_overrides(
         self,
@@ -92,7 +95,7 @@ class CircuitNetwork:
         argument left as ``None`` keeps the network's own value."""
         network = self
         if weights is not None:
-            network = replace(self, source=SourceSpec(kind="pdc2", weights=weights))
+            network = self._replace(source=SourceSpec(kind="pdc2", weights=weights))
         if theta is not None:
             network = network.with_settings(theta=theta)
         if alpha is not None:
@@ -100,8 +103,7 @@ class CircuitNetwork:
         return network
 
 
-@dataclass(frozen=True)
-class ChannelSlot:
+class ChannelSlot(NamedTuple):
     """One photon's channel pair and its resolving merge.
 
     ``lower`` feeds the resolving PBS's first port (polarization kept, H
@@ -119,8 +121,7 @@ class ChannelSlot:
         return (self.lower, self.upper)
 
 
-@dataclass(frozen=True)
-class NetworkStructure:
+class NetworkStructure(NamedTuple):
     style: str  # "generator" or "source"
     slots: tuple[ChannelSlot, ...]
     boundary: int  # elements[:boundary] = fan-out, elements[boundary:] = fan-in

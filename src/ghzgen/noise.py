@@ -20,7 +20,7 @@ all of them.  The mirrored=False half is the classic eight-family set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .qnd import NetworkError
@@ -42,29 +42,24 @@ DEFAULT_SLOT_MODES = (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
 CLASSIFY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PauliError:
+class PauliError(namedtuple("PauliError", "photon kind")):
     """One polarization error on one channel photon."""
 
-    photon: int
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.photon not in (1, 2, 3):
             raise ValueError(f"photon index must be 1..3, got {self.photon}")
         if self.kind not in ("X", "Z", "Y"):
             raise ValueError(f"error kind must be X, Z or Y, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class NoiseFamily:
+class NoiseFamily(namedtuple("NoiseFamily", "tag sign mirrored", defaults=(False,))):
     """Which reachable channel state: word pair, relative sign, pairing."""
 
-    tag: str
-    sign: int
-    mirrored: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}")
         if self.sign not in (1, -1):

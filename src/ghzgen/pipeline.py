@@ -19,10 +19,9 @@ sampled, unless an explicit seeded sample is requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .dsl import builtin_text, elaborate, parse
 from .elements import make_hwp90
@@ -104,8 +103,7 @@ def build_fig3() -> CircuitNetwork:
 # --- coincidence patterns and the correction table -----------------------
 
 
-@dataclass(frozen=True)
-class CoincidencePattern:
+class CoincidencePattern(NamedTuple):
     """Which output mode fired for each photon.
 
     ``shape`` records the structural choice per photon: "t" for the
@@ -120,16 +118,19 @@ class CoincidencePattern:
         return "".join(self.modes)
 
 
-# per family: the two reachable shapes and their per-photon corrections
+# Per base family: the two reachable shapes ("t"/"r" per photon), each
+# with the polarization words of the literal post-fan-in state and the
+# per-photon correction that turns them into the GHZ words.  The family
+# sign multiplies the second shape's component.
 _FAMILY_ROWS = {
-    "psi": ((("t", "t", "r"), ("I", "I", "X")), (("r", "r", "t"), ("I", "X", "I"))),
-    "psi0": ((("t", "t", "t"), ("I", "I", "I")), (("r", "r", "r"), ("X", "I", "I"))),
-    "psi1": ((("r", "t", "t"), ("X", "I", "I")), (("t", "r", "r"), ("I", "I", "I"))),
-    "psi2": ((("t", "r", "t"), ("I", "X", "I")), (("r", "t", "r"), ("I", "I", "X"))),
+    "psi": (("ttr", ("HHH", "VVV"), "IIX"), ("rrt", ("HVV", "VHH"), "IXI")),
+    "psi0": (("ttt", ("HHV", "VVH"), "III"), ("rrr", ("VHV", "HVH"), "XII")),
+    "psi1": (("rtt", ("VHV", "HVH"), "XII"), ("trr", ("HHV", "VVH"), "III")),
+    "psi2": (("trt", ("HVV", "VHH"), "IXI"), ("rtr", ("HHH", "VVV"), "IIX")),
 }
 
-# the product branch reaches the same shapes as psi and needs no correction
-_PHI_ROWS = ((("t", "t", "r"), ("I", "I", "I")), (("r", "r", "t"), ("I", "I", "I")))
+# the product branch reaches psi's shapes with the GHZ words themselves
+_PHI_ROWS = (("ttr", GHZ_WORDS, "III"), ("rrt", GHZ_WORDS, "III"))
 
 
 def lookup_correction(
@@ -151,13 +152,14 @@ def lookup_correction(
     else:
         rows = _FAMILY_ROWS[family.tag]
         mirrored = family.mirrored
-    (shape_a, ops_a), (shape_b, ops_b) = rows
+    (shape_a, _, ops_a), (shape_b, _, ops_b) = rows
     if mirrored:
         ops_a, ops_b = ops_b, ops_a
-    if pattern.shape == shape_a:
-        return ops_a
-    if pattern.shape == shape_b:
-        return ops_b
+    shape = "".join(pattern.shape)
+    if shape == shape_a:
+        return tuple(ops_a)
+    if shape == shape_b:
+        return tuple(ops_b)
     raise NetworkError(
         f"pattern {pattern.label} is unreachable for this family "
         "(miswired circuit?)"
@@ -205,8 +207,7 @@ def apply_corrections(
 # --- branch evolution ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchState:
+class BranchState(NamedTuple):
     """One homodyne branch carried to the channel boundary.
 
     ``conditional`` is normalized, trigger heralded away, supported on the
@@ -293,8 +294,7 @@ def _herald(state: PureState, trigger: DetectorGroup) -> PureState:
 # --- full runs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunEntry:
+class RunEntry(NamedTuple):
     branch: str
     family: NoiseFamily | str | None
     pattern: CoincidencePattern | None
@@ -308,8 +308,7 @@ class RunEntry:
     entanglement: dict | None = None
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     network: str
     style: str
     settings: NetworkSettings
@@ -663,26 +662,15 @@ def branch_b_literal() -> PureState:
     return family_state(PSI_PLUS)
 
 
-# Literal evolved rows for the base families: per family, the two
-# reachable shapes with their conditional polarization words; the family
-# sign multiplies the second pattern's component.
-EVOLVED_ROWS = {
-    "psi": ((("t", "t", "r"), ("HHH", "VVV")), (("r", "r", "t"), ("HVV", "VHH"))),
-    "psi0": ((("t", "t", "t"), ("HHV", "VVH")), (("r", "r", "r"), ("VHV", "HVH"))),
-    "psi1": ((("r", "t", "t"), ("VHV", "HVH")), (("t", "r", "r"), ("HHV", "VVH"))),
-    "psi2": ((("t", "r", "t"), ("HVV", "VHH")), (("r", "t", "r"), ("HHH", "VVV"))),
-}
-
-
 def evolved_family_literal(
     family: NoiseFamily, slots: Sequence[ChannelSlot]
 ) -> PureState:
     """The literal post-fan-in state of a base (non-mirrored) family on
-    the channel ``slots``."""
+    the channel ``slots``, from the words of its correction-table rows."""
     if family.mirrored:
         raise ValueError("literal rows cover the base families only")
     out = PureState()
-    for idx, (shape, words) in enumerate(EVOLVED_ROWS[family.tag]):
+    for idx, (shape, words, _) in enumerate(_FAMILY_ROWS[family.tag]):
         modes = tuple(
             slot.out_t if c == "t" else slot.out_r for slot, c in zip(slots, shape)
         )

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .states import FockKet, PureState, Rail
 
@@ -47,8 +46,7 @@ class NetworkError(ValueError):
     re-exports it."""
 
 
-@dataclass(frozen=True)
-class KerrCoupling:
+class KerrCoupling(NamedTuple):
     """Probe phase per photon on one rail, in units of theta."""
 
     mode: str
@@ -77,8 +75,7 @@ def tag_phases(
     return {k: sum(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
 
 
-@dataclass(frozen=True)
-class QndOutcome:
+class QndOutcome(NamedTuple):
     """One homodyne branch: A (|tag| = theta) or B (tag 0).
 
     ``conditional`` is normalized and, for branch A, carries the
@@ -90,8 +87,8 @@ class QndOutcome:
     probability: float
     conditional: PureState
     x: float
-    phi: float = 0.0
-    tag_signs: Mapping[FockKet, int] = field(default_factory=dict)
+    phi: float
+    tag_signs: Mapping[FockKet, int]
 
 
 def homodyne_discriminate(

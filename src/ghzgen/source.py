@@ -11,7 +11,7 @@ structure and are renormalized, so the weights mean exactly what they say.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .states import H, V, PureState, ket
@@ -28,15 +28,14 @@ DEFAULT_WEIGHTS = (0.25, 0.25, 0.5)
 MIN_CASE_WEIGHT = 1e-20
 
 
-@dataclass(frozen=True)
-class CaseWeights:
+class CaseWeights(
+    namedtuple("CaseWeights", "upper_upper lower_lower mixed", defaults=DEFAULT_WEIGHTS)
+):
     """Weights of the three two-pair emission cases, each 0 or >= MIN_CASE_WEIGHT."""
 
-    upper_upper: float = DEFAULT_WEIGHTS[0]
-    lower_lower: float = DEFAULT_WEIGHTS[1]
-    mixed: float = DEFAULT_WEIGHTS[2]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         w = self.as_tuple()
         if not all(math.isfinite(x) for x in w):
             raise ValueError(f"case weights must be finite, got {w}")
@@ -48,7 +47,7 @@ class CaseWeights:
             raise ValueError(f"case weights must sum to 1, got {sum(w)!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.upper_upper, self.lower_lower, self.mixed)
+        return tuple(self)
 
 
 def pdc_pair(a: str, b: str) -> PureState:

@@ -126,6 +126,8 @@ _CIRCUIT_FILES = {
     "<hwp45-u2>": _edited_fig3("hwp90 u2", "hwp45 u2"),
     "<no-hwp90-D1>": _edited_fig3("hwp90 D1\n", ""),
     "<bs-trigger>": _edited_fig3("pbs a1 -> T1 va1", "bs a1 -> T1 va1"),
+    # a coupling on a fan-out mode, which no emission ket occupies
+    "<kerr-off-source>": _edited_fig3("bs va1 -> u1 u2\n", "bs va1 -> u1 u2\nkerr u1 H 5\n"),
 }
 
 
@@ -160,6 +162,8 @@ _CIRCUIT_FILES = {
         (("run", "--weights", "1e-300,1e-300,1"), "nonzero case weight under"),
         (("run", "--weights", "0.5,0.5,4e-24"), "nonzero case weight under"),
         (("dump", "--network", "<empty>"), "declares no source"),
+        (("run", "--network", "<kerr-off-source>"), "not a source arm"),
+        (("parse", "--network", "<kerr-off-source>"), "not a source arm"),
     ],
     ids=[
         "noise-on-source-style",
@@ -190,6 +194,8 @@ _CIRCUIT_FILES = {
         "tiny-weights",
         "weight-under-floor",
         "dump-without-source",
+        "kerr-off-source-run",
+        "kerr-off-source-parse",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
@@ -532,11 +538,14 @@ GOLDEN_STDOUT = {
 
 def test_commands_without_diagnostics_leave_numpy_unloaded():
     # numpy backs only entanglement_summary; the other commands, seeded
-    # sampling included, must not pay its import in a fresh interpreter
+    # sampling included, must not pay its import in a fresh interpreter.
+    # No command pays for dataclasses and the inspect it pulls in either.
+    absent = ("numpy", "dataclasses", "inspect")
     argvs = [
         ["run"],
         ["dump"],
         ["verify-table1"],
+        ["verify-states"],
         ["parse", "--builtin", "fig3"],
         ["run", "--sample", "--seed", "5"],
         ["run", "--sample", "--seed", "11", "--noise", "X@2"],
@@ -544,17 +553,18 @@ def test_commands_without_diagnostics_leave_numpy_unloaded():
     code = (
         "import contextlib, io, sys\n"
         "import ghzgen.cli as cli\n"
-        "print('numpy' in sys.modules)\n"
+        f"loaded = lambda: print([m for m in {absent!r} if m in sys.modules])\n"
+        "loaded()\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "    print('numpy' in sys.modules)\n"
+        "    loaded()\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out.split() == ["False"] * (1 + len(argvs))
+    assert out.splitlines() == ["[]"] * (1 + len(argvs))
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids="_".join)

@@ -242,6 +242,18 @@ def test_elaborate_requires_declared_live_inputs():
     assert err.line == 4
 
 
+def test_kerr_off_the_source_arms_is_bad_parameter():
+    # the probe couples only to the source's emission arms; a coupling on
+    # any other mode could never act
+    err = _error("source pdc2\nbs a1 -> u1 u2\n  kerr u1 H 5\n", elaborate_too=True)
+    assert err.kind == "bad-parameter"
+    assert (err.line, err.column) == (3, 3)
+    assert "not a source arm" in err.message
+
+    net = elaborate(parse("source pdc2\nkerr a1 H 1\nkerr b1 V 1\nkerr a2 H 1\nkerr b2 V 1\n"))
+    assert [c.mode for c in net.couplings] == ["a1", "b1", "a2", "b2"]
+
+
 def test_elaborate_detector_and_weight_conflicts():
     err = _error(
         "source pdc2\ndetect T = a1\ndetect T = b1\n", elaborate_too=True

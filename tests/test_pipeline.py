@@ -38,6 +38,7 @@ from ghzgen import (
     verify_reference_states,
 )
 from ghzgen.dsl import builtin_text
+from ghzgen.pipeline import _FAMILY_ROWS, _PHI_ROWS, GHZ_WORDS
 from ghzgen.source import MIN_CASE_WEIGHT
 
 TOL = 1e-12
@@ -218,6 +219,19 @@ def test_lookup_correction_product_branch():
     with pytest.raises(ValueError) as excinfo:
         lookup_correction("bell", _pattern("ttr"))
     assert not isinstance(excinfo.value, NetworkError)
+
+
+def test_table_corrections_turn_row_words_into_ghz_words():
+    # the table states each shape's literal words and its correction
+    # once; flipping the corrected photons must give the GHZ words
+    flip = str.maketrans("HV", "VH")
+    rows = [row for pair in _FAMILY_ROWS.values() for row in pair] + list(_PHI_ROWS)
+    for shape, words, ops in rows:
+        corrected = {
+            "".join(p.translate(flip) if op == "X" else p for p, op in zip(word, ops))
+            for word in words
+        }
+        assert corrected == set(GHZ_WORDS), (shape, words, ops)
 
 
 def test_lookup_correction_unreachable_pattern():
