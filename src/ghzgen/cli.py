@@ -14,7 +14,11 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
 circuit-parse or network errors (a wrong detector structure, a
 miswired fan-out, a non-finite, negative or overflowing probe setting,
-noise on a source-style network, or a sweep with no mixed-pass branch).  JSON
+noise on a source-style network, a sweep with no mixed-pass branch, or
+an entanglement check whose case weights empty a branch).  The
+``--weights``, ``--theta`` and ``--alpha`` flags override the circuit's
+own values, the same way for every command that takes them, and are
+checked with the circuit, before any other flag.  JSON
 output is byte-deterministic for fixed inputs and seed: keys are sorted
 and floats use their shortest round-trip form.
 """
@@ -63,8 +67,13 @@ def _read_circuit(flags: dict, default_builtin: str | None) -> tuple[str, str]:
 
 
 def _load_network(flags: dict, default_builtin: str) -> CircuitNetwork:
+    """The circuit with the ``--weights``, ``--theta`` and ``--alpha``
+    flags applied; a flag a command lacks, or one not given, keeps the
+    circuit's own value."""
     text, name = _read_circuit(flags, default_builtin)
-    return elaborate(parse(text), name=name)
+    return elaborate(parse(text), name=name).with_overrides(
+        _parse_weights(flags.get("weights")), flags.get("theta"), flags.get("alpha")
+    )
 
 
 def _parse_weights(text: str | None) -> CaseWeights | None:
@@ -154,13 +163,7 @@ def cmd_run(flags: dict) -> int:
     if flags["seed"] < 0:
         raise _UsageError(f"the sampling seed must be nonnegative, got {flags['seed']}")
     report = run_full(
-        noise,
-        network=network,
-        weights=_parse_weights(flags.get("weights")),
-        theta=flags.get("theta"),
-        alpha=flags.get("alpha"),
-        sample=bool(flags.get("sample")),
-        seed=flags["seed"],
+        noise, network=network, sample=bool(flags.get("sample")), seed=flags["seed"]
     )
     print(_dump_json(_report_json(report)))
     return EXIT_OK
@@ -200,8 +203,14 @@ def cmd_verify_states(flags: dict) -> int:
 
 def cmd_analyze_entanglement(flags: dict) -> int:
     network = _load_network(flags, default_builtin="fig1")
-    weights = _parse_weights(flags.get("weights"))
-    branches = entanglement_report(network, weights=weights)
+    weights = network.source.weights if network.source else None
+    # a zero weight empties its branch by design, which is no failed check
+    if weights and not (weights.mixed and weights.upper_upper + weights.lower_lower):
+        raise _UsageError(
+            "the entanglement check needs both branches: a nonzero same-pass "
+            f"and a nonzero mixed-pass case weight, got {weights.as_tuple()}"
+        )
+    branches = entanglement_report(network)
     ranks = {}
     rows = []
     for branch, joint, summary in branches:
@@ -223,18 +232,13 @@ def cmd_analyze_entanglement(flags: dict) -> int:
 
 
 def cmd_sweep(flags: dict) -> int:
+    network = _load_network(flags, default_builtin="fig3")
     noise, p = _split_noise(flags.get("noise"))
     if noise is not None:
         raise _UsageError("sweep-noise needs a strength spec like p=0.1")
     if p is None:
         p = 0.1
-    rows = sweep_noise(
-        p,
-        network=_load_network(flags, default_builtin="fig3"),
-        weights=_parse_weights(flags.get("weights")),
-        theta=flags.get("theta"),
-        alpha=flags.get("alpha"),
-    )
+    rows = sweep_noise(p, network=network)
 
     corrected_mean = sum(r["weight"] * r["corrected_fidelity"] for r in rows)
     uncorrected_mean = sum(r["weight"] * r["uncorrected_fidelity"] for r in rows)
@@ -283,9 +287,7 @@ def cmd_parse(flags: dict) -> int:
 
 
 def cmd_dump(flags: dict) -> int:
-    network = _load_network(flags, default_builtin="fig1").with_overrides(
-        _parse_weights(flags.get("weights")), flags.get("theta"), flags.get("alpha")
-    )
+    network = _load_network(flags, default_builtin="fig1")
     rows = []
     for bs in branch_states(network):
         rows.append(

@@ -2,10 +2,9 @@
 
 One statement per line; ``#`` starts a comment.  Grammar:
 
-    set theta 0.01            header values: theta, alpha,
-    set alpha 316.23          case_weights (three numbers), noise
-    set noise X@1,Z@3         (a channel error spec)
-    source pdc2 [weights w1 w2 w3]
+    set theta 0.01            probe settings: theta and alpha only
+    set alpha 316.23
+    source pdc2 [weights w1 w2 w3]   case weights (default 0.25 0.25 0.5)
     kerr MODE POL UNITS       probe coupling on one source-arm rail
     pbs IN1 [IN2] -> OUT_T OUT_R
     bs  IN1 [IN2] -> OUT1 OUT2
@@ -20,6 +19,9 @@ raises anything else.  ``elaborate`` checks mode flow, every input must
 be a live declared mode and every output a fresh name, checks that each
 ``kerr`` line names a source arm, and builds the ``CircuitNetwork``.
 ``pretty_print`` emits canonical text that reparses to an equal document.
+A file describes a device only: channel noise is what the transmitted
+state meets on the way, so it is given to the run (``run --noise``,
+``run_full``'s ``noise``), never in the circuit.
 
 The ``pdc2`` source emits on the fixed arm names a1, b1 (first pass)
 and a2, b2 (second pass).  ``builtin_text`` reads the packaged circuits
@@ -41,7 +43,6 @@ from .network import (
     SourceSpec,
 )
 from .elements import make_bs, make_hwp45, make_hwp90, make_pbs, make_route
-from .noise import parse_noise_spec
 from .qnd import KerrCoupling
 from .source import LOWER_ARM, UPPER_ARM, CaseWeights
 from .states import H, V
@@ -58,7 +59,7 @@ ERROR_KINDS = (
     "bad-parameter",
 )
 
-_SET_KEYS = ("theta", "alpha", "case_weights", "noise")
+_SET_KEYS = ("theta", "alpha")
 _ELEMENT_HEADS = ("pbs", "bs", "hwp45", "hwp90", "route")
 _STATEMENT_HEADS = ("set", "source", "kerr", "detect") + _ELEMENT_HEADS
 
@@ -81,15 +82,18 @@ class ParseError(Exception):
 class Statement(NamedTuple):
     """One parsed line: a head keyword and its typed payload.
 
-    Source positions are carried for error reporting but do not take
-    part in equality or hashing, so a reparse of canonical text compares
-    equal.
+    ``column`` is the head's column and ``columns`` the column of each
+    token in ``args``, nested the same way, so an error can point at the
+    offending mode.  Source positions are carried for error reporting but
+    do not take part in equality or hashing, so a reparse of canonical
+    text compares equal.
     """
 
     kind: str
     args: tuple
     line: int
     column: int
+    columns: tuple
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -161,20 +165,10 @@ def _parse_set(toks: list[_Token], line: int) -> Statement:
             toks[1].column,
             "bad-parameter",
         )
-    values = toks[2:]
-    if key == "case_weights":
-        if len(values) != 3:
-            _fail("case_weights needs three numbers", line, toks[1].column, "syntax")
-        payload = tuple(_float(t, line) for t in values)
-    elif key == "noise":
-        if len(values) != 1:
-            _fail("noise needs one spec token", line, toks[1].column, "syntax")
-        payload = values[0].text
-    else:
-        if len(values) != 1:
-            _fail(f"{key} needs one number", line, toks[1].column, "syntax")
-        payload = _float(values[0], line)
-    return Statement("set", (key, payload), line, toks[0].column)
+    if len(toks) != 3:
+        _fail(f"{key} needs one number", line, toks[1].column, "syntax")
+    value = _float(toks[2], line)
+    return Statement("set", (key, value), line, toks[0].column, (toks[1].column, toks[2].column))
 
 
 def _parse_source(toks: list[_Token], line: int) -> Statement:
@@ -183,7 +177,7 @@ def _parse_source(toks: list[_Token], line: int) -> Statement:
     kind = toks[1].text
     if kind != "pdc2":
         _fail(f"unknown source kind {kind!r}", line, toks[1].column, "bad-parameter")
-    weights = None
+    weights = columns = None
     rest = toks[2:]
     if rest:
         if rest[0].text != "weights" or len(rest) != 4:
@@ -194,7 +188,8 @@ def _parse_source(toks: list[_Token], line: int) -> Statement:
                 "syntax",
             )
         weights = tuple(_float(t, line) for t in rest[1:])
-    return Statement("source", (kind, weights), line, toks[0].column)
+        columns = tuple(t.column for t in rest[1:])
+    return Statement("source", (kind, weights), line, toks[0].column, (toks[1].column, columns))
 
 
 def _parse_kerr(toks: list[_Token], line: int) -> Statement:
@@ -212,7 +207,8 @@ def _parse_kerr(toks: list[_Token], line: int) -> Statement:
             toks[3].column,
             "bad-parameter",
         )
-    return Statement("kerr", (mode, pol, units), line, toks[0].column)
+    columns = tuple(t.column for t in toks[1:])
+    return Statement("kerr", (mode, pol, units), line, toks[0].column, columns)
 
 
 def _parse_element(head: str, toks: list[_Token], line: int) -> Statement:
@@ -220,7 +216,7 @@ def _parse_element(head: str, toks: list[_Token], line: int) -> Statement:
         if len(toks) != 2:
             _fail(f"{head} needs one mode", line, toks[0].column, "syntax")
         mode = _mode_name(toks[1], line)
-        return Statement(head, (mode,), line, toks[0].column)
+        return Statement(head, (mode,), line, toks[0].column, (toks[1].column,))
     arrow = [i for i, t in enumerate(toks) if t.text == "->"]
     if len(arrow) != 1:
         _fail(f"{head} needs one '->'", line, toks[0].column, "syntax")
@@ -244,9 +240,13 @@ def _parse_element(head: str, toks: list[_Token], line: int) -> Statement:
     _check_statement_dup(names, line)
     in_modes = tuple(t.text for t in ins)
     out_modes = tuple(t.text for t in outs)
+    in_cols = tuple(t.column for t in ins)
+    out_cols = tuple(t.column for t in outs)
     if head == "route":
-        return Statement("route", (in_modes[0], out_modes[0]), line, toks[0].column)
-    return Statement(head, (in_modes, out_modes), line, toks[0].column)
+        return Statement(
+            "route", (in_modes[0], out_modes[0]), line, toks[0].column, (in_cols[0], out_cols[0])
+        )
+    return Statement(head, (in_modes, out_modes), line, toks[0].column, (in_cols, out_cols))
 
 
 def _parse_detect(toks: list[_Token], line: int) -> Statement:
@@ -260,7 +260,11 @@ def _parse_detect(toks: list[_Token], line: int) -> Statement:
         _mode_name(tok, line)
     _check_statement_dup(modes, line)
     return Statement(
-        "detect", (name, tuple(t.text for t in modes)), line, toks[0].column
+        "detect",
+        (name, tuple(t.text for t in modes)),
+        line,
+        toks[0].column,
+        (toks[1].column, tuple(t.column for t in modes)),
     )
 
 
@@ -323,31 +327,32 @@ class _ModeFlow:
         self.declared: set[str] = set()
         self.live: set[str] = set()
 
-    def declare(self, mode: str, stmt: Statement, column: int):
+    def declare(self, mode: str, line: int, column: int):
         if mode in self.declared:
-            _fail(f"mode {mode!r} already defined", stmt.line, column, "mode-reuse")
+            _fail(f"mode {mode!r} already defined", line, column, "mode-reuse")
         self.declared.add(mode)
         self.live.add(mode)
 
-    def consume(self, mode: str, stmt: Statement):
-        self.require_live(mode, stmt)
+    def consume(self, mode: str, line: int, column: int):
+        self.require_live(mode, line, column)
         self.live.discard(mode)
 
-    def require_live(self, mode: str, stmt: Statement):
+    def require_live(self, mode: str, line: int, column: int):
         if mode not in self.declared:
-            _fail(f"mode {mode!r} is not declared", stmt.line, stmt.column, "undeclared-mode")
+            _fail(f"mode {mode!r} is not declared", line, column, "undeclared-mode")
         if mode not in self.live:
-            _fail(f"mode {mode!r} was already used", stmt.line, stmt.column, "mode-reuse")
+            _fail(f"mode {mode!r} was already used", line, column, "mode-reuse")
 
 
 def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
     """Check mode flow and build the network.
 
-    Raises ParseError (with the statement's position) on flow violations:
-    consuming a mode twice, feeding an element from an undeclared or
-    already-consumed mode, redefining an existing mode, or detecting a
-    dead mode; and on a ``kerr`` line off the source arms, where the probe
-    would never act.
+    Raises ParseError on flow violations: consuming a mode twice, feeding
+    an element from an undeclared or already-consumed mode, redefining an
+    existing mode or detector, or detecting a dead mode; on a ``kerr``
+    line off the source arms, where the probe would never act; and on a
+    bad ``set`` value or source weight.  A flow or ``kerr`` error points at
+    the offending token, a bad value at its statement.
     """
     flow = _ModeFlow()
     elements = []
@@ -356,106 +361,74 @@ def elaborate(doc: DslDocument, name: str = "network") -> CircuitNetwork:
     detector_names: dict[str, int] = {}
     source: SourceSpec | None = None
     settings_kw: dict = {}
-    set_weights: tuple | None = None
-    source_stmt: Statement | None = None
 
     for stmt in doc.statements:
+        line = stmt.line
         if stmt.kind == "set":
             key, value = stmt.args
             # each value is checked alone, so a rejection names its own line
             try:
-                if key == "case_weights":
-                    CaseWeights(*value)
-                elif key == "noise":
-                    parse_noise_spec(value)
-                else:
-                    NetworkSettings(**{key: value})
+                NetworkSettings(**{key: value})
             except ValueError as exc:
-                _fail(str(exc), stmt.line, stmt.column, "bad-parameter")
-            if key == "case_weights":
-                set_weights = value
-            else:
-                settings_kw[key] = value
+                _fail(str(exc), line, stmt.column, "bad-parameter")
+            settings_kw[key] = value
         elif stmt.kind == "source":
-            source_stmt = stmt
+            _, weights = stmt.args
+            try:
+                source = SourceSpec(kind="pdc2", weights=CaseWeights(*(weights or ())))
+            except ValueError as exc:
+                _fail(str(exc), line, stmt.column, "bad-parameter")
             for arm in SOURCE_ARMS:
-                flow.declare(arm, stmt, stmt.column)
+                flow.declare(arm, line, stmt.column)
         elif stmt.kind == "kerr":
             mode, pol, units = stmt.args
+            column = stmt.columns[0]
             if mode not in flow.declared:
-                _fail(
-                    f"mode {mode!r} is not declared",
-                    stmt.line,
-                    stmt.column,
-                    "undeclared-mode",
-                )
+                _fail(f"mode {mode!r} is not declared", line, column, "undeclared-mode")
             if mode not in SOURCE_ARMS:
                 _fail(
                     f"kerr mode {mode!r} is not a source arm ({', '.join(SOURCE_ARMS)})",
-                    stmt.line,
-                    stmt.column,
+                    line,
+                    column,
                     "bad-parameter",
                 )
             couplings.append(KerrCoupling(mode=mode, pol=pol, units=units))
         elif stmt.kind in ("pbs", "bs"):
-            ins, outs = stmt.args
-            for m in ins:
-                flow.consume(m, stmt)
-            for m in outs:
-                flow.declare(m, stmt, stmt.column)
+            (ins, outs), (in_cols, out_cols) = stmt.args, stmt.columns
+            for m, column in zip(ins, in_cols):
+                flow.consume(m, line, column)
+            for m, column in zip(outs, out_cols):
+                flow.declare(m, line, column)
             maker = make_pbs if stmt.kind == "pbs" else make_bs
             in1 = ins[0]
             in2 = ins[1] if len(ins) == 2 else None
             elements.append(maker(in1, in2, outs[0], outs[1]))
         elif stmt.kind in ("hwp45", "hwp90"):
-            (mode,) = stmt.args
-            flow.require_live(mode, stmt)
+            (mode,), (column,) = stmt.args, stmt.columns
+            flow.require_live(mode, line, column)
             maker = make_hwp45 if stmt.kind == "hwp45" else make_hwp90
             elements.append(maker(mode))
         elif stmt.kind == "route":
-            src, dst = stmt.args
-            flow.consume(src, stmt)
-            flow.declare(dst, stmt, stmt.column)
+            (src, dst), (src_col, dst_col) = stmt.args, stmt.columns
+            flow.consume(src, line, src_col)
+            flow.declare(dst, line, dst_col)
             elements.append(make_route(src, dst))
         elif stmt.kind == "detect":
-            det_name, modes = stmt.args
+            (det_name, modes), (name_col, mode_cols) = stmt.args, stmt.columns
             if det_name in detector_names:
                 _fail(
                     f"detector {det_name!r} already defined on line "
                     f"{detector_names[det_name]}",
-                    stmt.line,
-                    stmt.column,
+                    line,
+                    name_col,
                     "bad-parameter",
                 )
-            detector_names[det_name] = stmt.line
-            for m in modes:
-                flow.consume(m, stmt)
+            detector_names[det_name] = line
+            for m, column in zip(modes, mode_cols):
+                flow.consume(m, line, column)
             detectors.append(DetectorGroup(det_name, modes))
         else:  # pragma: no cover - parse admits no other kinds
             raise AssertionError(stmt.kind)
-
-    if source_stmt is not None:
-        _, src_weights = source_stmt.args
-        if src_weights is not None and set_weights is not None:
-            _fail(
-                "case weights given both in a set line and on the source",
-                source_stmt.line,
-                source_stmt.column,
-                "bad-parameter",
-            )
-        chosen = src_weights if src_weights is not None else set_weights
-        try:
-            weights = CaseWeights(*chosen) if chosen is not None else CaseWeights()
-        except ValueError as exc:
-            _fail(str(exc), source_stmt.line, source_stmt.column, "bad-parameter")
-        source = SourceSpec(kind="pdc2", weights=weights)
-    elif set_weights is not None:
-        _fail(
-            "case_weights given but the document has no source",
-            doc.statements[0].line if doc.statements else 1,
-            1,
-            "bad-parameter",
-        )
 
     return CircuitNetwork(
         name=name,
@@ -480,13 +453,7 @@ def pretty_print(doc: DslDocument) -> str:
     for stmt in doc.statements:
         if stmt.kind == "set":
             key, value = stmt.args
-            if key == "case_weights":
-                body = " ".join(_format_number(v) for v in value)
-            elif key == "noise":
-                body = value
-            else:
-                body = _format_number(value)
-            lines.append(f"set {key} {body}")
+            lines.append(f"set {key} {_format_number(value)}")
         elif stmt.kind == "source":
             kind, weights = stmt.args
             if weights is None:

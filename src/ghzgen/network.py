@@ -42,9 +42,7 @@ class DetectorGroup(NamedTuple):
 
 
 class NetworkSettings(
-    namedtuple(
-        "NetworkSettings", "theta alpha noise", defaults=(DEFAULT_THETA, DEFAULT_ALPHA, None)
-    )
+    namedtuple("NetworkSettings", "theta alpha", defaults=(DEFAULT_THETA, DEFAULT_ALPHA))
 ):
     __slots__ = ()
 

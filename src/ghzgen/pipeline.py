@@ -370,7 +370,11 @@ def run_full(
 ) -> RunReport:
     """Drive the whole protocol and report every branch and pattern.
 
-    ``noise`` (a spec string like "X@1,Z@3" or parsed errors) acts on the
+    ``network`` (default: the builtin fig3 generator) is run with its own
+    source weights and probe settings, each replaced by ``weights``,
+    ``theta`` or ``alpha`` when given (``CircuitNetwork.with_overrides``).
+    ``noise`` (a spec string like "X@1,Z@3" or parsed errors) is the only
+    source of channel errors; a network carries none.  It acts on the
     three channel photons of the mixed-pass branch, which is the branch
     the recovery table addresses; the same-pass branch has no channel
     stage between fan-out and fan-in and is reported noiseless, so noise
@@ -381,8 +385,6 @@ def run_full(
     """
     network = (network or build_fig3()).with_overrides(weights, theta, alpha)
     structure = analyze(network)
-    if noise is None and network.settings.noise:
-        noise = network.settings.noise
     errors = parse_noise_spec(noise) if isinstance(noise, str) else tuple(noise or ())
     if errors and structure.style != "generator":
         raise NetworkError("channel noise needs a generator-style network")
@@ -500,21 +502,15 @@ def _entry_matches(entry: RunEntry, sampled: dict) -> bool:
     return entry.pattern is None
 
 
-def sweep_noise(
-    p: float,
-    *,
-    network: CircuitNetwork | None = None,
-    weights: CaseWeights | None = None,
-    theta: float | None = None,
-    alpha: float | None = None,
-) -> list[dict]:
+def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict]:
     """One full run per Pauli term of a single-photon depolarizing channel
     of strength ``p``, in mixture order.
 
     Each row gives the term's errors, its mixture weight, the family the
     errors turn the channel state into, and the channel fidelity with the
     table's corrections (averaged over the coincidence patterns) and
-    without any.
+    without any.  Other weights or probe settings come in on the
+    network, through ``CircuitNetwork.with_overrides``.
     """
     network = network or build_fig3()
     if analyze(network).style != "generator":
@@ -522,9 +518,7 @@ def sweep_noise(
     target = family_state(PSI_PLUS)
     rows = []
     for weight, errors in depolarizing_mixture(p):
-        report = run_full(
-            errors, network=network, weights=weights, theta=theta, alpha=alpha
-        )
+        report = run_full(errors, network=network)
         channel = [e for e in report.entries if e.branch == "B"]
         if not channel:
             raise NetworkError("the noise sweep needs a nonzero mixed-pass weight")

@@ -80,13 +80,6 @@ def _two_group_circuit(tmp_path):
     return str(path)
 
 
-def _noisy_circuit(tmp_path):
-    text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
-    path = tmp_path / "noisy.onet"
-    path.write_text(text + "set noise X@1\n", encoding="utf-8")
-    return str(path)
-
-
 def _edited_fig3(line, replacement):
     # fig3 with one line replaced (or deleted, for an empty replacement)
     def write(tmp_path):
@@ -114,7 +107,6 @@ def _empty_circuit(tmp_path):
 # placeholders in argv for circuit files written per test
 _CIRCUIT_FILES = {
     "<two-groups>": _two_group_circuit,
-    "<noisy>": _noisy_circuit,
     "<non-utf8>": _non_utf8_circuit,
     "<empty>": _empty_circuit,
     "<nan-kerr>": _edited_fig3("kerr a1 H 0.5", "kerr a1 H nan"),
@@ -128,6 +120,7 @@ _CIRCUIT_FILES = {
     "<bs-trigger>": _edited_fig3("pbs a1 -> T1 va1", "bs a1 -> T1 va1"),
     # a coupling on a fan-out mode, which no emission ket occupies
     "<kerr-off-source>": _edited_fig3("bs va1 -> u1 u2\n", "bs va1 -> u1 u2\nkerr u1 H 5\n"),
+    "<same-pass-only>": _edited_fig3("weights 0.25 0.25 0.5", "weights 0 1 0"),
 }
 
 
@@ -143,7 +136,7 @@ _CIRCUIT_FILES = {
         (("sweep-noise", "--weights", "1,0,0"), "nonzero mixed-pass weight"),
         (("sweep-noise", "--weights", "0,1,0"), "nonzero mixed-pass weight"),
         (("run", "--weights", "1,0,0", "--noise", "X@1"), "nonzero mixed-pass weight"),
-        (("run", "--network", "<noisy>", "--weights", "0,1,0"), "nonzero mixed-pass weight"),
+        (("run", "--network", "<same-pass-only>", "--noise", "X@1"), "nonzero mixed-pass weight"),
         (("run", "--sample", "--seed", "-1"), "seed must be nonnegative"),
         (("run", "--alpha", "1e200"), "alpha squared must be finite"),
         (("parse", "--network", "<non-utf8>"), "cannot read network file"),
@@ -164,6 +157,11 @@ _CIRCUIT_FILES = {
         (("dump", "--network", "<empty>"), "declares no source"),
         (("run", "--network", "<kerr-off-source>"), "not a source arm"),
         (("parse", "--network", "<kerr-off-source>"), "not a source arm"),
+        (("analyze-entanglement", "--weights", "0,0,1"), "needs both branches"),
+        (("analyze-entanglement", "--weights", "0.5,0.5,0"), "needs both branches"),
+        (("analyze-entanglement", "--network", "<same-pass-only>"), "needs both branches"),
+        (("run", "--theta", "nan", "--noise", "Q@1"), "theta must be finite"),
+        (("sweep-noise", "--alpha", "-1", "--noise", "X@1"), "alpha must be finite"),
     ],
     ids=[
         "noise-on-source-style",
@@ -196,6 +194,11 @@ _CIRCUIT_FILES = {
         "dump-without-source",
         "kerr-off-source-run",
         "kerr-off-source-parse",
+        "entanglement-without-branch-a",
+        "entanglement-without-branch-b",
+        "entanglement-circuit-without-branch-b",
+        "override-checked-before-noise",
+        "sweep-override-checked-before-noise",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
@@ -354,6 +357,22 @@ def test_analyze_entanglement_text_and_alias(capsys):
     assert alias_out == out
 
 
+def test_analyze_entanglement_lost_branch_fails_the_check(capsys, tmp_path):
+    # without the probe couplings both cases land in one branch: the
+    # circuit is at fault, not the input, so it is a failed check
+    text = (resources.files("ghzgen") / "fixtures" / "fig1.onet").read_text(encoding="utf-8")
+    path = tmp_path / "no_probe.onet"
+    path.write_text(
+        "".join(line for line in text.splitlines(True) if not line.startswith("kerr")),
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "analyze-entanglement", "--network", str(path))
+    assert code == 1
+    assert err == ""
+    assert out.startswith("branch B:")
+    assert out.endswith("pol-vs-spatial split: FAIL\n")
+
+
 def test_analyze_entanglement_json(capsys):
     code, payload = _run_json(capsys, "analyze-entanglement", "--json")
     assert code == 0
@@ -488,6 +507,32 @@ def test_dump_honours_zero_theta(capsys):
     assert code == 0
     branches = {row["branch"]: row for row in payload["branches"]}
     assert branches["A"]["x"] == 2 * DEFAULT_ALPHA
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--builtin", "fig3"),
+        ("dump", "--builtin", "fig3"),
+        ("sweep-noise", "--builtin", "fig3", "--json", "--noise", "p=0.2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_circuit_settings_match_flags(capsys, tmp_path, argv):
+    # a set line and a flag are two ways to give one value; a file named
+    # after the builtin makes even the network name agree
+    text = (resources.files("ghzgen") / "fixtures" / "fig3.onet").read_text(encoding="utf-8")
+    path = tmp_path / "fig3.onet"
+    path.write_text(text + "set theta 0.02\nset alpha 300\n", encoding="utf-8")
+    command, _, _, *rest = argv
+    code, from_file, err = _run(capsys, command, "--network", str(path), *rest)
+    assert (code, err) == (0, "")
+    code, from_flags, err = _run(capsys, *argv, "--theta", "0.02", "--alpha", "300")
+    assert (code, err) == (0, "")
+    assert from_file == from_flags
+    if command != "sweep-noise":  # the sweep's rows do not show the probe settings
+        _, default, _ = _run(capsys, *argv)
+        assert default != from_flags
 
 
 # --- argv handling --------------------------------------------------------------

@@ -81,15 +81,34 @@ def test_settings_payloads():
     doc = parse(
         "set theta 0.01\n"
         "set alpha 316.0\n"
-        "set case_weights 0.2 0.3 0.5\n"
-        "set noise X@1,Z@3\n"
+        "source pdc2 weights 0.2 0.3 0.5\n"
     )
-    assert dict(s.args for s in doc.statements) == {
-        "theta": 0.01,
-        "alpha": 316.0,
-        "case_weights": (0.2, 0.3, 0.5),
-        "noise": "X@1,Z@3",
-    }
+    assert [s.args for s in doc.statements] == [
+        ("theta", 0.01),
+        ("alpha", 316.0),
+        ("pdc2", (0.2, 0.3, 0.5)),
+    ]
+    net = elaborate(doc)
+    assert net.settings == (0.01, 316.0)
+    assert net.source.weights == (0.2, 0.3, 0.5)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "set case_weights 0.2 0.3 0.5\n",
+        "set noise X@1,Z@3\n",
+        "set noise Q@1\n",
+        "set case_weights 0.2 0.3 0.5\nsource pdc2 weights 0.2 0.3 0.5\n",
+    ],
+)
+def test_set_takes_only_probe_settings(text):
+    # case weights go on the source line and noise comes with the run, so
+    # a circuit has one way to give each
+    err = _error(text)
+    assert err.kind == "bad-parameter"
+    assert (err.line, err.column) == (1, 5)
+    assert err.message.startswith("unknown setting")
 
 
 def test_source_with_weights_clause():
@@ -169,7 +188,7 @@ def test_bad_parameter_errors_located():
         "set alpha inf",
         "set alpha -1",
         "set alpha 1e200",
-        "set case_weights nan 0.5 0.5",
+        "source pdc2 weights 0.5 nan 0.5",
         "source pdc2 weights nan 0.5 0.5",
         "kerr a1 H nan",
         "kerr a1 H inf",
@@ -184,7 +203,7 @@ def test_bad_probe_setting_is_bad_parameter(line):
 
 @pytest.mark.parametrize(
     "text",
-    ["set case_weights 0.5 0.5 1e-24\nsource pdc2\n", "source pdc2 weights 1e-300 1e-300 1\n"],
+    ["source pdc2 weights 0.5 0.5 1e-24\n", "source pdc2 weights 1e-300 1e-300 1\n"],
 )
 def test_tiny_case_weight_is_bad_parameter(text):
     # a weight this small would be pruned away with its whole case
@@ -198,7 +217,7 @@ def test_tiny_case_weight_is_bad_parameter(text):
     [
         ("source pdc2\nset theta 0.01\nset alpha 1e200\n", 3),
         ("set alpha 316.0\nset theta nan\nsource pdc2\n", 2),
-        ("source pdc2\n\nset case_weights nan 0.5 0.5\n", 3),
+        ("set theta 0.01\n\nsource pdc2 weights nan 0.5 0.5\n", 3),
     ],
 )
 def test_bad_setting_is_reported_at_its_set_line(text, line):
@@ -247,7 +266,7 @@ def test_kerr_off_the_source_arms_is_bad_parameter():
     # any other mode could never act
     err = _error("source pdc2\nbs a1 -> u1 u2\n  kerr u1 H 5\n", elaborate_too=True)
     assert err.kind == "bad-parameter"
-    assert (err.line, err.column) == (3, 3)
+    assert (err.line, err.column) == (3, 8)
     assert "not a source arm" in err.message
 
     net = elaborate(parse("source pdc2\nkerr a1 H 1\nkerr b1 V 1\nkerr a2 H 1\nkerr b2 V 1\n"))
@@ -261,20 +280,28 @@ def test_elaborate_detector_and_weight_conflicts():
     assert err.kind == "bad-parameter"
     assert err.line == 3
 
-    err = _error(
-        "set case_weights 0.2 0.3 0.5\nsource pdc2 weights 0.2 0.3 0.5\n",
-        elaborate_too=True,
-    )
-    assert err.kind == "bad-parameter"
-
-    err = _error("set case_weights 0.2 0.3 0.5\n", elaborate_too=True)
-    assert err.kind == "bad-parameter"
-
     err = _error("source pdc2 weights 0.2 0.3 0.9\n", elaborate_too=True)
     assert err.kind == "bad-parameter"
 
-    err = _error("set noise Q@1\n", elaborate_too=True)
-    assert err.kind == "bad-parameter"
+
+@pytest.mark.parametrize(
+    "text, kind, line, column",
+    [
+        ("source pdc2\nbs a1 q -> x y\n", "undeclared-mode", 2, 7),
+        ("source pdc2\nbs a1 -> x y\npbs b1 a1 -> z w\n", "mode-reuse", 3, 8),
+        ("source pdc2\nbs a1 -> b1 q\n", "mode-reuse", 2, 10),
+        ("source pdc2\nroute a1 -> b2\n", "mode-reuse", 2, 13),
+        ("source pdc2\nroute q -> x\n", "undeclared-mode", 2, 7),
+        ("source pdc2\nbs a1 -> x y\nhwp90  a1\n", "mode-reuse", 3, 8),
+        ("source pdc2\nbs a1 -> u1 u2\nkerr u1 H 5\n", "bad-parameter", 3, 6),
+        ("kerr   q H 0.5\n", "undeclared-mode", 1, 8),
+        ("source pdc2\ndetect T = a1\ndetect  T = b1\n", "bad-parameter", 3, 9),
+        ("source pdc2\nbs a1 -> x y\ndetect P = b1 a1\n", "mode-reuse", 3, 15),
+    ],
+)
+def test_flow_error_points_at_its_token(text, kind, line, column):
+    err = _error(text, elaborate_too=True)
+    assert (err.kind, err.line, err.column) == (kind, line, column)
 
 
 def test_elaborate_without_source():
@@ -296,9 +323,8 @@ def test_hwp_keeps_mode_live():
 def test_pretty_print_round_trips_every_statement_kind():
     text = (
         "set theta 0.01\n"
-        "set case_weights 0.25 0.25 0.5\n"
-        "set noise X@2\n"
-        "source pdc2\n"
+        "set alpha 316.0\n"
+        "source pdc2 weights 0.25 0.25 0.5\n"
         "kerr a1 H 0.5\n"
         "pbs a1 -> t1 va\n"
         "bs va b1 -> s1 s2\n"

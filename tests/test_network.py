@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from ghzgen import (
+    DEFAULT_ALPHA,
+    DEFAULT_THETA,
     CircuitNetwork,
     DetectorGroup,
     NetworkError,
@@ -135,8 +137,10 @@ def test_positions_by_style():
 
 
 def test_settings_defaults():
+    # probe settings only: channel noise is given to the run, not the network
     settings = NetworkSettings()
-    assert settings.noise is None
+    assert settings._fields == ("theta", "alpha")
+    assert settings == (DEFAULT_THETA, DEFAULT_ALPHA)
     assert build_ghzps().settings == settings
 
 

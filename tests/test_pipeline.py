@@ -332,9 +332,12 @@ def test_run_full_noise_needs_mixed_pass_weight(weights):
     weights = CaseWeights(*weights)
     with pytest.raises(NetworkError, match="nonzero mixed-pass weight"):
         run_full("X@1", weights=weights)
-    noisy = elaborate(parse(builtin_text("fig3") + "set noise X@1\n"))
+    # the same weights given on the circuit's source line
+    text = builtin_text("fig3").replace("weights 0.25 0.25 0.5", "weights %r %r %r" % weights)
+    network = elaborate(parse(text))
+    assert network.source.weights == weights
     with pytest.raises(NetworkError, match="nonzero mixed-pass weight"):
-        run_full(network=noisy, weights=weights)
+        run_full("X@1", network=network)
     assert {e.branch for e in run_full(weights=weights).entries} == {"A"}
 
 

@@ -37,7 +37,7 @@ def _records():
     return {
         "CaseWeights": (CaseWeights(0.2, 0.3, 0.5), "mixed"),
         "SourceSpec": (SourceSpec("pdc2", CaseWeights(0.2, 0.3, 0.5)), "kind"),
-        "NetworkSettings": (NetworkSettings(theta=0.02, alpha=3.0, noise="X@1"), "theta"),
+        "NetworkSettings": (NetworkSettings(theta=0.02, alpha=3.0), "theta"),
         "PauliError": (PauliError(2, "Y"), "photon"),
         "NoiseFamily": (NoiseFamily("psi1", -1, mirrored=True), "sign"),
         "KerrCoupling": (KerrCoupling("a1", "H", 0.5), "units"),
@@ -77,11 +77,11 @@ def test_record_is_immutable(name):
 
 
 def test_statement_equality_ignores_position():
-    a = Statement("kerr", ("a1", "H", 0.5), 1, 1)
-    b = Statement("kerr", ("a1", "H", 0.5), 7, 3)
+    a = Statement("kerr", ("a1", "H", 0.5), 1, 1, (6, 9, 11))
+    b = Statement("kerr", ("a1", "H", 0.5), 7, 3, (8, 11, 13))
     assert a == b
     assert not a != b
     assert hash(a) == hash(b)
-    assert (b.line, b.column) == (7, 3)
-    assert a != Statement("kerr", ("a1", "H", -0.5), 1, 1)
-    assert a != Statement("route", ("a1", "H", 0.5), 1, 1)
+    assert (b.line, b.column, b.columns) == (7, 3, (8, 11, 13))
+    assert a != Statement("kerr", ("a1", "H", -0.5), 1, 1, (6, 9, 11))
+    assert a != Statement("route", ("a1", "H", 0.5), 1, 1, (6, 9, 11))

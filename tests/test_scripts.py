@@ -10,15 +10,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _script(name, *args):
+def _run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def _script(name, *args):
+    done = _run_script(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -43,3 +47,22 @@ def test_protocol_tour_walks_every_stage():
     ):
         assert heading in out
     assert "total coincidence probability 0.104167" in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--theta", "nan"), "theta must be finite"),
+        (("--alpha", "-1"), "alpha must be finite and nonnegative"),
+        (("--alpha", "1e200"), "alpha squared must be finite"),
+        (("--noise", "Q@1"), "error kind must be X, Z or Y"),
+    ],
+    ids=["nan-theta", "negative-alpha", "alpha-square-overflows", "bad-noise"],
+)
+def test_protocol_tour_rejects_bad_flags(args, message):
+    # checked once, before any stage prints
+    done = _run_script("protocol_tour.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert message in done.stderr
