@@ -90,10 +90,12 @@ class CircuitNetwork(NamedTuple):
         alpha: float | None = None,
     ) -> "CircuitNetwork":
         """A copy with the given source weights and probe settings; an
-        argument left as ``None`` keeps the network's own value."""
+        argument left as ``None`` keeps the network's own value.  Weights
+        replace those of the declared source; a network that declares none
+        keeps none, so that it fails the same way with and without them."""
         network = self
-        if weights is not None:
-            network = self._replace(source=SourceSpec(kind="pdc2", weights=weights))
+        if weights is not None and self.source is not None:
+            network = self._replace(source=SourceSpec(self.source.kind, weights))
         if theta is not None:
             network = network.with_settings(theta=theta)
         if alpha is not None:

@@ -10,6 +10,12 @@ Conventions:
   * kets are normalized occupation-number states, |n> = (a†)^n / sqrt(n!) |0>
   * amplitudes with magnitude below ``PRUNE_TOL`` are dropped after every
     arithmetic operation, so zero really means zero
+  * ``ModeTransform.apply`` builds a plan on the first sight of each input
+    ket and replays it on every later call: the same floating-point
+    operations, in the same order, so a replay is bit-identical to a
+    first sight.  An element's plans grow with the distinct kets it meets,
+    not with the number of calls.  ``PRUNE_TOL`` pruning stays outside the
+    replayed arithmetic, in ``PureState._pruned``
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
@@ -297,6 +303,15 @@ def _orthonormal(columns: Sequence[Sequence[complex]]) -> bool:
     return True
 
 
+# the plan of a ket with no photon on the element's input rails: divide by
+# sqrt(1) and sum onto 0j, with no op layers.  Its output is the ket itself
+# (``outs`` None), object and all; no other ket's image can land on it,
+# because it holds no photon on an output either.  One shared tuple, so
+# that these kets, about half of those an element meets, cost one dict
+# entry each
+_PASSTHROUGH_PLAN = (1.0, (), None)
+
+
 class ModeTransform:
     """Linear-optical element acting on a fixed tuple of input rails.
 
@@ -306,11 +321,20 @@ class ModeTransform:
     rectangular ones model elements with an unused vacuum port.
 
     The matrix is kept as ``rows``, a tuple of rows of Python complex
-    numbers.  Instances are immutable and hashable.
+    numbers.  Instances are immutable and hashable.  The plans ``apply``
+    stores are a cache: equality, hashing and pickling ignore them, and an
+    unpickled instance starts with none.
     """
 
     __slots__ = (
-        "name", "in_rails", "out_rails", "rows", "_in_index", "_out_set", "_columns"
+        "name",
+        "in_rails",
+        "out_rails",
+        "rows",
+        "_rail_index",
+        "_columns",
+        "_plans",
+        "_patterns",
     )
 
     def __init__(
@@ -346,15 +370,21 @@ class ModeTransform:
         object.__setattr__(self, "in_rails", in_rails)
         object.__setattr__(self, "out_rails", out_rails)
         object.__setattr__(self, "rows", rows)
-        # apply's plan: per input column, the nonzero (output index,
+        # what apply's plans are built from: the column index of each input
+        # rail, -1 for an output rail that is no input (a passthrough photon
+        # there collides), and per input column the nonzero (output index,
         # amplitude) entries in output order
-        object.__setattr__(self, "_in_index", {r: j for j, r in enumerate(in_rails)})
-        object.__setattr__(self, "_out_set", frozenset(out_rails))
+        rail_index = dict.fromkeys(out_rails, -1)
+        rail_index.update((r, j) for j, r in enumerate(in_rails))
+        object.__setattr__(self, "_rail_index", rail_index)
         object.__setattr__(
             self,
             "_columns",
             tuple(tuple((i, u) for i, u in enumerate(c) if u != 0) for c in columns),
         )
+        # filled by apply: per input ket, and per input count pattern
+        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_patterns", {})
 
     def __setattr__(self, attr, *_):
         raise AttributeError(f"ModeTransform is immutable; cannot set {attr!r}")
@@ -392,58 +422,112 @@ class ModeTransform:
         amplitude is divided by sqrt(prod n!) of its input counts, then
         each created photon multiplies by u * sqrt(m + 1), and outputs are
         summed onto 0j in ket order.  Results are therefore bit-for-bit
-        reproducible, not merely close."""
-        in_index = self._in_index
-        out_set = self._out_set
-        columns = self._columns
-        out_rails = self.out_rails
-        vacuum_occ = (0,) * len(out_rails)
+        reproducible, not merely close.
+
+        Which operations those are depends on the input ket alone, never on
+        its amplitude.  So the first sight of a ket builds its plan
+        (``_plan``), and this and every later call replay it: each slot
+        of a layer starts at 0j and adds its steps in order, and the last
+        layer's slots are summed onto their output kets.  The plans of one
+        element grow with the distinct kets it meets, not with the number
+        of calls.  Amplitudes under ``PRUNE_TOL`` are dropped afterwards,
+        by ``PureState._pruned``, never inside a plan."""
+        plans = self._plans
         acc: dict[FockKet, complex] = {}
         for k, amp in state._terms.items():
-            counts: list[tuple[int, int]] = []
-            passthrough: list[tuple[Rail, int]] = []
-            for entry in k._occ:
-                rail = entry[0]
-                j = in_index.get(rail)
-                if j is None:
-                    if rail in out_set:
-                        raise ValueError(
-                            f"{self.name}: rail {rail} is already occupied "
-                            "on an output of this element"
-                        )
-                    passthrough.append(entry)
-                else:
-                    counts.append((j, entry[1]))
-            if not counts:
-                # the same arithmetic as below with nothing to create:
-                # divide by sqrt(1), sum onto 0j.  The ket keeps its object,
-                # and no other ket's image can land on it, because it holds
-                # no photon on an output (checked above).
-                acc[k] = 0j + amp / 1.0
-                continue
-            # normalized-ket bookkeeping: divide out the input sqrt(n!) up
-            # front, then each a† application contributes sqrt(m+1)
-            counts.sort()
-            norm_div = 1.0
-            for _, n in counts:
-                norm_div *= math.factorial(n)
-            partial: dict[tuple[int, ...], complex] = {vacuum_occ: amp / math.sqrt(norm_div)}
-            for j, n in counts:
-                column = columns[j]
-                for _ in range(n):
-                    nxt: dict[tuple[int, ...], complex] = {}
-                    for occ, c in partial.items():
-                        for i, u in column:
-                            m = occ[i]
-                            key = occ[:i] + (m + 1,) + occ[i + 1 :]
-                            nxt[key] = nxt.get(key, 0j) + c * u * math.sqrt(m + 1)
-                    partial = nxt
-            for occ, c in partial.items():
-                entries = passthrough + [(out_rails[i], m) for i, m in enumerate(occ) if m]
-                entries.sort()
-                out_ket = FockKet._canonical(tuple(entries))
+            plan = plans.get(k)
+            if plan is None:
+                plan = self._plan(k)
+            div, layers, outs = plan
+            vals = [amp / div]
+            for width, ops in layers:
+                nxt = [0j] * width
+                for dst, src, u, sq in ops:
+                    nxt[dst] = nxt[dst] + vals[src] * u * sq
+                vals = nxt
+            for out_ket, c in zip(outs or (k,), vals):
                 acc[out_ket] = acc.get(out_ket, 0j) + c
         return PureState._pruned(acc)
+
+    def _plan(self, k: FockKet) -> tuple:
+        """Build, store and return the plan of ket ``k``: the divisor, the
+        op layers and the output kets (``None`` for ``_PASSTHROUGH_PLAN``).
+        A rail on an output of this element raises ``ValueError`` and
+        stores nothing.
+
+        The divisor and the op layers depend only on the sorted (input
+        index, count) pattern of ``k``, so kets with one pattern share
+        them; only the output kets, which carry the passthrough rails, are
+        built per ket."""
+        rail_index = self._rail_index
+        counts: list[tuple[int, int]] = []
+        passthrough: list[tuple[Rail, int]] = []
+        for entry in k._occ:
+            j = rail_index.get(entry[0])
+            if j is None:
+                passthrough.append(entry)
+            elif j < 0:
+                raise ValueError(
+                    f"{self.name}: rail {entry[0]} is already occupied "
+                    "on an output of this element"
+                )
+            else:
+                counts.append((j, entry[1]))
+        if not counts:
+            plan = self._plans[k] = _PASSTHROUGH_PLAN
+            return plan
+        counts.sort()
+        pattern = tuple(counts)
+        shared = self._patterns.get(pattern)
+        if shared is None:
+            shared = self._patterns[pattern] = self._pattern_plan(pattern)
+        div, layers, out_entries = shared
+        outs = tuple(
+            [
+                FockKet._canonical(tuple(sorted(passthrough + entries)))
+                for entries in out_entries
+            ]
+        )
+        plan = self._plans[k] = (div, layers, outs)
+        return plan
+
+    def _pattern_plan(self, pattern: tuple[tuple[int, int], ...]) -> tuple:
+        """The shared part of a plan for the sorted (input index, count)
+        ``pattern``: the sqrt(prod n!) divisor; one op layer per created
+        photon, as ``(width, ops)``; and the ``(rail, count)`` entries of
+        each slot of the last layer.
+
+        A layer maps the previous layer's slots to ``width`` new ones, one
+        per occupation reached by creating one more photon of the pattern.
+        Its ``ops`` are ``(dst, src, u, sqrt(m + 1))`` steps, taken per
+        source slot in slot order and per nonzero column entry in output
+        order; ``u`` is the column's own object, and ``m`` the photons
+        already on that output.  A new slot is numbered when it is first
+        reached."""
+        norm_div = 1.0
+        for _, n in pattern:
+            norm_div *= math.factorial(n)
+        columns = self._columns
+        occs = [(0,) * len(self.out_rails)]
+        layers = []
+        for j, n in pattern:
+            column = columns[j]
+            for _ in range(n):
+                index: dict[tuple[int, ...], int] = {}
+                ops: list = []
+                for src, occ in enumerate(occs):
+                    for i, u in column:
+                        m = occ[i]
+                        key = occ[:i] + (m + 1,) + occ[i + 1 :]
+                        dst = index.setdefault(key, len(index))
+                        ops.append((dst, src, u, math.sqrt(m + 1)))
+                layers.append((len(index), tuple(ops)))
+                occs = list(index)
+        out_rails = self.out_rails
+        out_entries = tuple(
+            [(out_rails[i], m) for i, m in enumerate(occ) if m] for occ in occs
+        )
+        return math.sqrt(norm_div), tuple(layers), out_entries
 
 
 def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:

@@ -210,6 +210,20 @@ def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["run", "dump", "analyze-entanglement", "sweep-noise"])
+def test_weights_flag_keeps_the_error_of_a_circuit_without_source(capsys, tmp_path, command):
+    # --weights replaces the weights of a declared source; it never adds one
+    circuit = _empty_circuit(tmp_path)
+    errors = []
+    for extra in ((), ("--weights", "0.2,0.3,0.5")):
+        code, out, err = _run(capsys, command, "--network", circuit, *extra)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
 _SWAPS = {"hwp90": "hwp45", "hwp45": "hwp90", "pbs": "bs", "bs": "pbs"}
 _EDITABLE = {"kerr", "route", *_SWAPS}
 

@@ -103,6 +103,14 @@ def test_non_resolving_merge_demotes_to_source_style():
     assert structure.boundary == 3
 
 
+def test_overrides_replace_weights_of_a_declared_source_only():
+    weights = CaseWeights(0.2, 0.3, 0.5)
+    assert _toy_generator().with_overrides(weights, theta=0.5).source is None
+    net = build_fig3().with_overrides(weights)
+    assert net.source == SourceSpec("pdc2", weights)
+    assert net.elements is build_fig3().elements
+
+
 def test_analysis_requires_trigger_and_three_pairs():
     net = _toy_generator()
     no_trigger = CircuitNetwork(

@@ -1,5 +1,6 @@
 """The package namespace (``__all__`` and the imports in ``__init__``),
-the data files the wheel ships, and where the package imports numpy."""
+the data files the wheel ships, where the package imports numpy, and
+what elaborating a circuit leaves for ``apply`` to do."""
 
 import ast
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ghzgen
+from ghzgen.dsl import BUILTINS, builtin_text, elaborate, parse
 
 
 def test_all_lists_exactly_the_public_names():
@@ -69,3 +71,12 @@ def test_numpy_is_imported_only_by_entanglement_summary():
         for function in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("states", "entanglement_summary")]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_elaborate_builds_no_apply_plans(name):
+    # a CLI start elaborates the builtin circuits before any state exists;
+    # plans are built inside apply only, on the first sight of a ket
+    network = elaborate(parse(builtin_text(name)), name=name)
+    assert network.elements
+    assert all(not e._plans and not e._patterns for e in network.elements)

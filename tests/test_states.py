@@ -684,18 +684,60 @@ def _outcome(apply, transform, state):
         return "error", str(exc)
 
 
-@given(st.one_of(_state_st(max_photons=4), _doubled_state_st()), _transform_st())
-def test_property_apply_is_bit_exact_to_reference(state, transform):
+# amplitude parts for a replay: signed zeros as well as ordinary values
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1, allow_nan=False))
+
+
+def _replay_state(data, transform, state):
+    """A state on the kets of ``state`` with new amplitudes, signed zeros
+    among their parts.  Where two kets reach a shared output ket, the
+    second is scaled so that its image there cancels the first's to
+    rounding, far below ``PRUNE_TOL``."""
+    kets = list(state.terms)
+    amps = [
+        complex(*data.draw(st.tuples(_PART, _PART).filter(lambda p: abs(complex(*p)) > 1e-3)))
+        for _ in kets
+    ]
+    images = [
+        oracles.reference_apply(transform, PureState({k: 1.0})).terms for k in kets
+    ]
+    pairs = [
+        (a, b, out)
+        for a in range(len(kets))
+        for b in range(a + 1, len(kets))
+        for out in images[a]
+        if out in images[b]
+    ]
+    if pairs:
+        a, b, out = data.draw(st.sampled_from(pairs))
+        amps[b] = -amps[a] * images[a][out] / images[b][out]
+    # built as the engine builds its own results: the signed zeros stay
+    return PureState._pruned(dict(zip(kets, amps)))
+
+
+@given(st.one_of(_state_st(max_photons=4), _doubled_state_st()), _transform_st(), st.data())
+def test_property_apply_is_bit_exact_to_reference(state, transform, data):
+    # the first call builds every ket's plan, the second replays them
     out = transform.apply(state)
     expected = oracles.reference_apply(transform, state)
     assert out.terms == expected.terms
     assert _bits(out) == _bits(expected)
+    plans = dict(transform._plans)
+    assert set(plans) == set(state.terms)
+
+    again = _replay_state(data, transform, state)
+    out = transform.apply(again)
+    assert transform._plans == plans
+    assert all(transform._plans[k] is plan for k, plan in plans.items())
+    assert _bits(out) == _bits(oracles.reference_apply(transform, again))
 
 
 @given(_state_st(max_photons=4), _transform_st(collide=True))
 def test_property_apply_collision_matches_reference(state, transform):
-    # make sure some ket sits on the colliding passthrough rail
-    state = state + ket(transform.out_rails[-1], amp=0.5)
+    # make sure some ket sits on the colliding passthrough rail: set, not
+    # added, since an amplitude of -0.5 already there would cancel it
+    clash = FockKet({transform.out_rails[-1]: 1})
+    state = PureState({**state.terms, clash: 0.5})
     got = _outcome(ModeTransform.apply, transform, state)
     assert got == _outcome(oracles.reference_apply, transform, state)
     assert got[0] == "error" and "already occupied" in got[1]
@@ -722,16 +764,70 @@ def test_apply_prunes_cancelled_amplitudes():
 
 
 def test_apply_chain_is_bit_exact_to_reference():
-    # the real fan-out and fan-in chain, on every homodyne branch
+    # the real fan-out and fan-in chain, on every homodyne branch, twice:
+    # the first pass of a branch builds its plans, the second replays them.
+    # The elements are unpickled copies, so no earlier test's plans count.
     network = build_fig3()
+    elements = pickle.loads(pickle.dumps(network.elements))
+    assert not any(e._plans for e in elements)
     settings = network.settings
     emission = dual_pass_emission()
     tags = tag_phases(emission, network.couplings)
     for outcome in homodyne_discriminate(
         emission, tags, theta=settings.theta, alpha=settings.alpha
     ):
-        state = feed_forward(outcome)
-        for element in network.elements:
-            expected = oracles.reference_apply(element, state)
-            assert _bits(element.apply(state)) == _bits(expected)
-            state = expected
+        for _ in range(2):
+            state = feed_forward(outcome)
+            for element in elements:
+                expected = oracles.reference_apply(element, state)
+                assert _bits(element.apply(state)) == _bits(expected)
+                state = expected
+            built = [len(e._plans) for e in elements]
+        # the second pass met no new ket
+        assert built == [len(e._plans) for e in elements]
+
+
+def test_apply_replays_a_cancellation_below_prune_tol():
+    # |H> and |V> into a Hadamard: V's images cancel.  The first call
+    # builds both plans on other amplitudes; the replay prunes the residue
+    h = _hadamard("a")
+    kh, kv = FockKet({Rail("a", "H"): 1}), FockKet({Rail("a", "V"): 1})
+    h.apply(PureState({kh: 0.8, kv: 0.6}))
+    plans = dict(h._plans)
+    state = PureState({kh: 0.6, kv: 0.6 * (1 + 1e-13)})
+    out = h.apply(state)
+    assert h._plans == plans
+    assert out.terms.keys() == {kh}
+    assert _bits(out) == _bits(oracles.reference_apply(h, state))
+
+
+def test_apply_collision_stores_no_plan_and_repeats():
+    # route a -> b with a photon already on b: the same error on every
+    # call, and no plan for the colliding ket
+    rails_a = (Rail("a", "H"), Rail("a", "V"))
+    rails_b = (Rail("b", "H"), Rail("b", "V"))
+    route = ModeTransform("route", rails_a, rails_b, np.eye(2))
+    fine = FockKet({Rail("a", "H"): 1})
+    clash = FockKet({Rail("a", "V"): 1, Rail("b", "H"): 1})
+    state = PureState({fine: 0.6, clash: 0.8})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="already occupied") as info:
+            route.apply(state)
+        messages.append(str(info.value))
+        assert clash not in route._plans
+    assert messages[0] == messages[1]
+    assert messages == [_outcome(oracles.reference_apply, route, state)[1]] * 2
+
+
+def test_transform_plans_stay_out_of_equality_hash_and_pickle():
+    h = _hadamard("a")
+    state = ket(("a", "H"), ("b", "V"), amp=0.8) + ket(("a", "V"), ("a", "H"), amp=0.6)
+    first = h.apply(state)
+    assert h._plans and h._patterns
+    fresh = _hadamard("a")
+    assert fresh == h and hash(fresh) == hash(h)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and hash(back) == hash(h)
+    assert not back._plans and not back._patterns
+    assert _bits(back.apply(state)) == _bits(first) == _bits(h.apply(state))
