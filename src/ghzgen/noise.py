@@ -1,9 +1,12 @@
 """Depolarization noise on the channel photons and family classification.
 
 The channel carries three photons, photon k living in a superposition of
-the spatial pair (d_k, D_k).  Depolarization acts on polarization only:
-per photon a bit flip (X), a phase flip (Z), or both (Y, composed as Z
-after X; the global phase is irrelevant everywhere downstream).
+its spatial pair (d_k, D_k), the k-th of the network's channel
+``positions`` (``analyze(network).positions``) that ``family_state``,
+``classify_family`` and ``apply_errors`` take.  Depolarization acts on
+polarization only: per photon a bit flip (X), a phase flip (Z), or both
+(Y, composed as Z after X; the global phase is irrelevant everywhere
+downstream).
 
 The noiseless channel state is
 
@@ -35,9 +38,6 @@ FAMILY_WORDS = {
     "psi1": ("VHH", "HVV"),
     "psi2": ("HVH", "VHV"),
 }
-
-# channel spatial pairs (lower, upper) per photon, builtin naming
-DEFAULT_SLOT_MODES = (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
 
 CLASSIFY_TOL = 1e-9
 
@@ -75,9 +75,9 @@ PSI_PLUS = NoiseFamily(tag="psi", sign=1)
 
 
 def _spatial_quadruples(
-    slot_modes: Sequence[tuple[str, str]]
+    positions: Sequence[tuple[str, str]]
 ) -> tuple[tuple, tuple]:
-    (l1, u1), (l2, u2), (l3, u3) = slot_modes
+    (l1, u1), (l2, u2), (l3, u3) = positions
     first = ((l1, l2, u3), (u1, u2, l3))
     second = ((l1, u2, l3), (u1, l2, u3))
     return first, second
@@ -88,14 +88,15 @@ def _word_ket(word: str, modes: Sequence[str]) -> PureState:
 
 
 def family_state(
-    family: NoiseFamily,
-    slot_modes: Sequence[tuple[str, str]] = DEFAULT_SLOT_MODES,
+    family: NoiseFamily, positions: Sequence[tuple[str, str]]
 ) -> PureState:
-    """The literal four-ket channel state of a family."""
+    """The literal four-ket channel state of a family on the channel
+    ``positions`` (``NetworkStructure.positions``: each photon's two
+    spatial modes)."""
     w1, w2 = FAMILY_WORDS[family.tag]
     if family.mirrored:
         w1, w2 = w2, w1
-    first, second = _spatial_quadruples(slot_modes)
+    first, second = _spatial_quadruples(positions)
     out = PureState()
     for modes in first:
         out = out + 0.5 * _word_ket(w1, modes)
@@ -114,61 +115,51 @@ def all_families() -> tuple[NoiseFamily, ...]:
 
 
 def classify_family(
-    state: PureState,
-    slot_modes: Sequence[tuple[str, str]] = DEFAULT_SLOT_MODES,
+    state: PureState, positions: Sequence[tuple[str, str]]
 ) -> NoiseFamily:
-    """Identify the channel state among the reachable families.
+    """Identify the channel state on ``positions`` among the reachable
+    families.
 
     Comparison is by fidelity, so global phase is irrelevant.  A state
     outside the set (a spatial-mode error, which the model excludes, or a
     miswired fan-out) raises ``NetworkError``.
     """
     for fam in all_families():
-        if fidelity(state, family_state(fam, slot_modes)) > 1.0 - CLASSIFY_TOL:
+        if fidelity(state, family_state(fam, positions)) > 1.0 - CLASSIFY_TOL:
             return fam
     raise NetworkError("state does not match any depolarization family")
-
-
-def apply_pauli(
-    state: PureState,
-    err: PauliError,
-    slot_modes: Sequence[tuple[str, str]] = DEFAULT_SLOT_MODES,
-) -> PureState:
-    """Apply one per-photon polarization error.
-
-    Acts on both possible spatial modes of the photon; spatial labels are
-    untouched.  Y is the composition Z(X(state)) (phase after flip).
-    """
-    modes = set(slot_modes[err.photon - 1])
-    flip = err.kind in ("X", "Y")
-    phase_v = err.kind in ("Z", "Y")
-    acc: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
-        entries = []
-        phase = 1.0
-        for r, n in k:
-            if r.mode in modes:
-                pol = r.pol
-                if flip:
-                    pol = V if pol == H else H
-                if phase_v and pol == V:
-                    phase *= (-1.0) ** n
-                entries.append((Rail(r.mode, pol), n))
-            else:
-                entries.append((r, n))
-        new_k = FockKet(entries)
-        acc[new_k] = acc.get(new_k, 0j) + amp * phase
-    return PureState(acc)
 
 
 def apply_errors(
     state: PureState,
     errors: Iterable[PauliError],
-    slot_modes: Sequence[tuple[str, str]] = DEFAULT_SLOT_MODES,
+    positions: Sequence[tuple[str, str]],
 ) -> PureState:
+    """Apply per-photon polarization errors, in order, on the channel
+    ``positions``.
+
+    Each error acts on both spatial modes of its photon; spatial labels
+    are untouched.  Y is the composition Z(X(state)) (phase after flip).
+    """
+    kinds: dict[str, list[str]] = {}
     for err in errors:
-        state = apply_pauli(state, err, slot_modes)
-    return state
+        for mode in positions[err.photon - 1]:
+            kinds.setdefault(mode, []).append(err.kind)
+    acc: dict[FockKet, complex] = {}
+    for k, amp in state.terms.items():
+        entries = []
+        phase = 1.0
+        for r, n in k:
+            pol = r.pol
+            for kind in kinds.get(r.mode, ()):
+                if kind != "Z":
+                    pol = V if pol == H else H
+                if kind != "X" and pol == V:
+                    phase *= (-1.0) ** n
+            entries.append((Rail(r.mode, pol), n))
+        new_k = FockKet(entries)
+        acc[new_k] = acc.get(new_k, 0j) + amp * phase
+    return PureState(acc)
 
 
 def depolarizing_mixture(p: float) -> list[tuple[float, tuple[PauliError, ...]]]:

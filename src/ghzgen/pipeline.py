@@ -452,8 +452,7 @@ def run_full(
 
     sampled = None
     if sample and rng is not None:
-        sampled = _draw_sample(entries, branches, rng)
-        entries = [e for e in entries if _entry_matches(e, sampled)]
+        entries, sampled = _draw_sample(entries, branches, rng)
 
     return RunReport(
         network=network.name,
@@ -469,7 +468,9 @@ def run_full(
     )
 
 
-def _draw_sample(entries, branches, rng) -> dict:
+def _draw_sample(entries, branches, rng) -> tuple[list[RunEntry], dict]:
+    """Draw a branch by its probability, then one of its patterns by
+    pattern probability; return the drawn entries and the record."""
     branch_probs = [(bs.branch, bs.outcome) for bs in branches]
     r = float(rng.random())
     acc = 0.0
@@ -479,9 +480,8 @@ def _draw_sample(entries, branches, rng) -> dict:
         if r < acc:
             chosen_branch, chosen_outcome = branch, outcome
             break
-    candidates = [
-        e for e in entries if e.branch == chosen_branch and e.pattern is not None
-    ]
+    drawn = [e for e in entries if e.branch == chosen_branch]
+    candidates = [e for e in drawn if e.pattern is not None]
     sampled: dict = {
         "branch": chosen_branch,
         "x": chosen_outcome.x,
@@ -498,15 +498,8 @@ def _draw_sample(entries, branches, rng) -> dict:
                 chosen = e
                 break
         sampled["pattern"] = chosen.pattern.label
-    return sampled
-
-
-def _entry_matches(entry: RunEntry, sampled: dict) -> bool:
-    if entry.branch != sampled["branch"]:
-        return False
-    if "pattern" in sampled and entry.pattern is not None:
-        return entry.pattern.label == sampled["pattern"]
-    return entry.pattern is None
+        drawn = [chosen]
+    return drawn, sampled
 
 
 def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict]:
@@ -520,9 +513,11 @@ def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict
     network, through ``CircuitNetwork.with_overrides``.
     """
     network = network or build_fig3()
-    if analyze(network).style != "generator":
+    structure = analyze(network)
+    if structure.style != "generator":
         raise NetworkError("the noise sweep needs a generator-style network")
-    target = family_state(PSI_PLUS)
+    positions = structure.positions
+    target = family_state(PSI_PLUS, positions)
     rows = []
     for weight, errors in depolarizing_mixture(p):
         report = run_full(errors, network=network)
@@ -530,12 +525,12 @@ def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict
         if not channel:
             raise NetworkError("the noise sweep needs a nonzero mixed-pass weight")
         prob = sum(e.pattern_probability for e in channel)
-        noisy = apply_errors(target, errors)
+        noisy = apply_errors(target, errors, positions)
         rows.append(
             {
                 "errors": format_noise_spec(errors),
                 "weight": weight,
-                "family": classify_family(noisy).label,
+                "family": classify_family(noisy, positions).label,
                 "corrected_fidelity": sum(
                     e.pattern_probability * e.fidelity for e in channel
                 )
@@ -565,7 +560,7 @@ def verify_correction_table(
     rows = []
     for fam in families:
         for pattern, p_pat, ops, _, fid in _resolve(
-            family_state(fam), fam, fan_in, structure.slots
+            family_state(fam, structure.positions), fam, fan_in, structure.slots
         ):
             rows.append(
                 {
@@ -587,11 +582,13 @@ def verify_reference_states() -> list[dict]:
     tol = 1e-12
     checks = []
 
-    by_branch = {bs.branch: bs for bs in branch_states(build_ghzps())}
+    network = build_ghzps()
+    structure = analyze(network)
+    by_branch = {bs.branch: bs for bs in branch_states(network, structure)}
     a_state, a_prob = by_branch["A"].conditional, by_branch["A"].joint_probability
     amps = [amp for _, amp in phase_fixed(a_state).sorted_terms()]
     amps_ok = all(abs(amp - 0.5) <= tol for amp in amps)
-    fid_a = fidelity(a_state, branch_a_literal())
+    fid_a = fidelity(a_state, branch_a_literal(structure.positions))
     checks.append(
         {
             "name": "same-pass branch conditional",
@@ -602,7 +599,7 @@ def verify_reference_states() -> list[dict]:
     )
 
     b_state, b_prob = by_branch["B"].conditional, by_branch["B"].joint_probability
-    fid_b = fidelity(b_state, branch_b_literal())
+    fid_b = fidelity(b_state, family_state(PSI_PLUS, structure.positions))
     checks.append(
         {
             "name": "mixed-pass branch conditional",
@@ -618,7 +615,7 @@ def verify_reference_states() -> list[dict]:
     for fam in all_families():
         if fam.mirrored:
             continue
-        state = compose(fan_in, family_state(fam))
+        state = compose(fan_in, family_state(fam, structure.positions))
         fid = fidelity(state, evolved_family_literal(fam, structure.slots))
         checks.append(
             {
@@ -648,19 +645,16 @@ def verify_reference_states() -> list[dict]:
     return checks
 
 
-def branch_a_literal() -> PureState:
-    """Product-branch conditional: polarization GHZ times an equal
-    superposition of the two all-one-arm spatial words."""
+def branch_a_literal(positions: Sequence[tuple[str, str]]) -> PureState:
+    """Product-branch conditional on the photon ``positions``
+    (``NetworkStructure.positions``): polarization GHZ times an equal
+    superposition of the two all-one-arm spatial words.  The mixed-pass
+    conditional is ``family_state(PSI_PLUS, positions)``."""
     out = PureState()
-    for arms in (("D1", "D2", "D3"), ("d1", "d2", "d3")):
+    for arms in zip(*positions):
         for word in GHZ_WORDS:
             out = out + 0.5 * ket(*zip(arms, word))
     return out
-
-
-def branch_b_literal() -> PureState:
-    """Mixed-pass conditional: the noiseless channel family state."""
-    return family_state(PSI_PLUS)
 
 
 def evolved_family_literal(

@@ -9,10 +9,10 @@ X quadrature is insensitive to the tag's sign, so the +theta and -theta
 components stay coherently superposed; the measurement only imprints
 known phases exp(+-i phi(x)) that a feed-forward rotation removes.
 
-Couplings are listed per rail in units of theta.  The default protocol
-placement is +1/2 per photon anywhere in a1 and -1/2 per photon anywhere
-in a2: every two-pair emission ket then tags exactly +1, -1, or 0
-according to its case, including the double-occupation kets.
+Couplings are listed per rail in units of theta.  The builtin circuits'
+``kerr`` lines place +1/2 per photon anywhere in a1 and -1/2 per photon
+anywhere in a2: every two-pair emission ket then tags exactly +1, -1, or
+0 according to its case, including the double-occupation kets.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ class KerrCoupling(NamedTuple):
     mode: str
     pol: str
     units: float
-
-
-def default_couplings(upper: str = "a1", lower: str = "a2") -> tuple[KerrCoupling, ...]:
-    return (
-        KerrCoupling(upper, "H", 0.5),
-        KerrCoupling(upper, "V", 0.5),
-        KerrCoupling(lower, "H", -0.5),
-        KerrCoupling(lower, "V", -0.5),
-    )
 
 
 def tag_phases(

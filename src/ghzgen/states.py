@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 H = "H"
 V = "V"

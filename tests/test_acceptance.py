@@ -27,7 +27,6 @@ from ghzgen import (
     build_ghzps,
     classify_family,
     cli,
-    default_couplings,
     dual_pass_emission,
     elaborate,
     entanglement_summary,
@@ -189,6 +188,9 @@ _CORRECTION_TABLE = {
     ("psi2", ("E1", "e2", "E3")): ("I", "I", "X"),
 }
 
+# each photon's channel pair (lower, upper), the inputs of _FAN_IN's merges
+_CHANNEL = (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
+
 _FAN_IN = (
     make_hwp90("D1"),
     make_hwp90("D2"),
@@ -217,7 +219,7 @@ def test_criterion_04_family_evolution_table():
     details = []
     for tag, rows in _EVOLUTION_TABLE.items():
         for sign in (1, -1):
-            state = family_state(NoiseFamily(tag, sign))
+            state = family_state(NoiseFamily(tag, sign), _CHANNEL)
             for element in _FAN_IN:
                 state = element.apply(state)
             expected_modes = {rows[0][0], rows[1][0]}
@@ -248,7 +250,7 @@ def test_criterion_05_correction_table_closure():
     worst = 1.0
     for (tag, modes), ops in _CORRECTION_TABLE.items():
         for sign in (1, -1):
-            state = family_state(NoiseFamily(tag, sign))
+            state = family_state(NoiseFamily(tag, sign), _CHANNEL)
             for element in _FAN_IN:
                 state = element.apply(state)
             conditional, prob = _project_pattern(state, modes)
@@ -290,8 +292,8 @@ def test_criterion_06_pauli_closure():
             for photon, kind in enumerate(kinds, start=1)
             if kind != "I"
         )
-        noisy = apply_errors(family_state(PSI_PLUS), errors)
-        family = classify_family(noisy)
+        noisy = apply_errors(family_state(PSI_PLUS, _CHANNEL), errors, _CHANNEL)
+        family = classify_family(noisy, _CHANNEL)
         seen_labels.add((family.tag, family.sign))
         report = run_full(errors)
         for entry in report.entries:
@@ -309,7 +311,7 @@ def test_criterion_06_pauli_closure():
 
 def test_criterion_07_qnd_properties():
     emission = dual_pass_emission()
-    tags = tag_phases(emission, default_couplings("a1", "a2"))
+    tags = tag_phases(emission, build_ghzps().couplings)
     outcomes = homodyne_discriminate(emission, tags)
     total = sum(o.probability for o in outcomes)
     by_branch = {o.branch: o for o in outcomes}

@@ -1,17 +1,25 @@
 """Command-line interface: flags, output schemas, exit codes, determinism."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ghzgen import DEFAULT_ALPHA, DEFAULT_THETA, cli
+from ghzgen import DEFAULT_ALPHA, DEFAULT_THETA, cli, elaborate, parse
+from ghzgen.dsl import builtin_text
+from ghzgen.network import TRIGGER_GROUP
+from ghzgen.source import LOWER_ARM, UPPER_ARM
 
 
 def _run(capsys, *argv):
@@ -447,6 +455,70 @@ def test_sweep_noise_rejects_source_style_network(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "generator-style" in err
+
+
+# --- renamed circuits ---------------------------------------------------------
+
+_FIG3 = elaborate(parse(builtin_text("fig3")), name="fig3")
+# the source arms and the trigger group are names the package itself knows
+_KEPT = {*UPPER_ARM, *LOWER_ARM, TRIGGER_GROUP}
+_FIG3_NAMES = sorted(
+    (
+        {r.mode for e in _FIG3.elements for r in e.in_rails + e.out_rails}
+        | {d.name for d in _FIG3.detectors}
+        | {m for d in _FIG3.detectors for m in d.modes}
+    )
+    - _KEPT
+)
+_TAKEN = {*_FIG3_NAMES, *_KEPT, "H", "V", "pdc2", "weights"}
+_TAKEN |= {"set", "source", "kerr", "detect", "pbs", "bs", "hwp45", "hwp90", "route"}
+
+
+def _stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _fig3_stdout(*argv) -> str:
+    return _stdout(*argv)
+
+
+def _without_mode_names(run_json: str) -> list:
+    entries = json.loads(run_json)["entries"]
+    return [{k: v for k, v in e.items() if k not in ("state", "pattern")} for e in entries]
+
+
+@settings(max_examples=5)
+@given(
+    st.lists(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+            lambda name: name not in _TAKEN
+        ),
+        min_size=len(_FIG3_NAMES),
+        max_size=len(_FIG3_NAMES),
+        unique=True,
+    )
+)
+def test_renamed_fig3_runs_like_fig3(fresh):
+    # the circuit is the only place the package learns its mode and
+    # detector names: renaming them changes only the names in the output
+    rename = dict(zip(_FIG3_NAMES, fresh))
+    lines = [
+        line if line.startswith("#") else " ".join(rename.get(t, t) for t in line.split())
+        for line in builtin_text("fig3").splitlines()
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "renamed.onet"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sweep = ("sweep-noise", "--json", "--noise", "p=0.3")
+        assert _stdout(*sweep, "--network", str(path)) == _fig3_stdout(*sweep)
+        run = ("run", "--noise", "X@1,Z@3")
+        assert _without_mode_names(_stdout(*run, "--network", str(path))) == (
+            _without_mode_names(_fig3_stdout(*run))
+        )
 
 
 # --- parse and dump -----------------------------------------------------------

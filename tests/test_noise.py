@@ -13,8 +13,9 @@ from ghzgen import (
     PauliError,
     Rail,
     all_families,
+    analyze,
     apply_errors,
-    apply_pauli,
+    build_fig3,
     classify_family,
     depolarizing_mixture,
     family_state,
@@ -26,9 +27,12 @@ from ghzgen import (
 
 from oracles import states_close
 
+# the builtin generator's channel pairs, one (lower, upper) pair per photon
+POSITIONS = analyze(build_fig3()).positions
+
 
 def test_psi_plus_literal():
-    s = family_state(PSI_PLUS)
+    s = family_state(PSI_PLUS, POSITIONS)
     assert s.norm() == pytest.approx(1.0)
     # one of the four kets: HHV on lower, lower, upper arms
     k = FockKet(
@@ -52,7 +56,7 @@ def test_family_validation():
 def test_all_families_distinct_and_orthogonal():
     families = all_families()
     assert len(families) == 16
-    states = [family_state(f) for f in families]
+    states = [family_state(f, POSITIONS) for f in families]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
             expected = 1.0 if i == j else 0.0
@@ -61,14 +65,14 @@ def test_all_families_distinct_and_orthogonal():
 
 def test_classify_family_roundtrip():
     for fam in all_families():
-        assert classify_family(family_state(fam)) == fam
+        assert classify_family(family_state(fam, POSITIONS), POSITIONS) == fam
 
 
 def test_classify_rejects_outsiders():
     # a single product word is no superposition at all; a miswired
     # circuit is what brings one here, so it is a usage error
     with pytest.raises(NetworkError):
-        classify_family(ket(("d1", "H"), ("d2", "H"), ("d3", "H")))
+        classify_family(ket(("d1", "H"), ("d2", "H"), ("d3", "H")), POSITIONS)
 
 
 def test_pauli_error_validation():
@@ -80,8 +84,10 @@ def test_pauli_error_validation():
 
 def test_z_flips_sign():
     for photon in (1, 2, 3):
-        out = apply_pauli(family_state(PSI_PLUS), PauliError(photon, "Z"))
-        assert classify_family(out) == NoiseFamily("psi", -1)
+        out = apply_errors(
+            family_state(PSI_PLUS, POSITIONS), [PauliError(photon, "Z")], POSITIONS
+        )
+        assert classify_family(out, POSITIONS) == NoiseFamily("psi", -1)
 
 
 def test_x_combo_family_map():
@@ -99,26 +105,28 @@ def test_x_combo_family_map():
     }
     for photons, fam in expected.items():
         errors = tuple(PauliError(p, "X") for p in photons)
-        out = apply_errors(family_state(PSI_PLUS), errors)
-        assert classify_family(out) == fam, photons
+        out = apply_errors(family_state(PSI_PLUS, POSITIONS), errors, POSITIONS)
+        assert classify_family(out, POSITIONS) == fam, photons
 
 
 def test_pauli_closure_all_families():
     # every single-photon error maps every family onto another family
     for fam in all_families():
-        state = family_state(fam)
+        state = family_state(fam, POSITIONS)
         for photon in (1, 2, 3):
             for kind in ("X", "Z", "Y"):
-                out = apply_pauli(state, PauliError(photon, kind))
-                classify_family(out)
+                out = apply_errors(state, [PauliError(photon, kind)], POSITIONS)
+                classify_family(out, POSITIONS)
 
 
 def test_y_equals_z_after_x_up_to_phase():
     for photon in (1, 2, 3):
-        y = apply_pauli(family_state(PSI_PLUS), PauliError(photon, "Y"))
-        zx = apply_pauli(
-            apply_pauli(family_state(PSI_PLUS), PauliError(photon, "X")),
-            PauliError(photon, "Z"),
+        state = family_state(PSI_PLUS, POSITIONS)
+        y = apply_errors(state, [PauliError(photon, "Y")], POSITIONS)
+        zx = apply_errors(
+            apply_errors(state, [PauliError(photon, "X")], POSITIONS),
+            [PauliError(photon, "Z")],
+            POSITIONS,
         )
         assert fidelity(y, zx) == pytest.approx(1.0, abs=1e-12)
 
@@ -130,9 +138,26 @@ def test_y_equals_z_after_x_up_to_phase():
 )
 def test_property_x_and_z_are_involutions(fam, photon, kind):
     err = PauliError(photon, kind)
-    state = family_state(fam)
-    twice = apply_pauli(apply_pauli(state, err), err)
+    state = family_state(fam, POSITIONS)
+    twice = apply_errors(state, [err, err], POSITIONS)
     assert states_close(twice, state, tol=1e-12)
+
+
+@given(
+    st.sampled_from(all_families()),
+    st.lists(
+        st.builds(PauliError, st.integers(1, 3), st.sampled_from(["X", "Z", "Y"])),
+        max_size=6,
+    ),
+)
+def test_property_errors_compose_one_at_a_time(fam, errors):
+    # a list of errors acts as the errors applied one by one, bit for bit
+    together = apply_errors(family_state(fam, POSITIONS), errors, POSITIONS)
+    one_by_one = family_state(fam, POSITIONS)
+    for err in errors:
+        one_by_one = apply_errors(one_by_one, [err], POSITIONS)
+    # repr keeps the ket order and the sign of a zero
+    assert repr(together.terms) == repr(one_by_one.terms)
 
 
 def test_depolarizing_mixture_weights():
@@ -169,10 +194,10 @@ def test_noise_spec_roundtrip():
 def test_errors_apply_in_listed_order():
     # X then Z differs from Z then X by a global sign only
     xz = apply_errors(
-        family_state(PSI_PLUS), parse_noise_spec("X@1,Z@1")
+        family_state(PSI_PLUS, POSITIONS), parse_noise_spec("X@1,Z@1"), POSITIONS
     )
     zx = apply_errors(
-        family_state(PSI_PLUS), parse_noise_spec("Z@1,X@1")
+        family_state(PSI_PLUS, POSITIONS), parse_noise_spec("Z@1,X@1"), POSITIONS
     )
     assert fidelity(xz, zx) == pytest.approx(1.0, abs=1e-12)
-    assert classify_family(xz) == classify_family(zx)
+    assert classify_family(xz, POSITIONS) == classify_family(zx, POSITIONS)

@@ -10,6 +10,8 @@ import pytest
 
 import ghzgen
 from ghzgen.dsl import BUILTINS, builtin_text, elaborate, parse
+from ghzgen.network import TRIGGER_GROUP
+from ghzgen.source import LOWER_ARM, UPPER_ARM
 
 
 def test_all_lists_exactly_the_public_names():
@@ -71,6 +73,30 @@ def test_numpy_is_imported_only_by_entanglement_summary():
         for function in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("states", "entanglement_summary")]
+
+
+def _declared_names(name) -> set:
+    network = elaborate(parse(builtin_text(name)), name=name)
+    modes = {r.mode for e in network.elements for r in e.in_rails + e.out_rails}
+    detectors = {d.name for d in network.detectors}
+    return modes | detectors | {m for d in network.detectors for m in d.modes}
+
+
+def test_no_fixture_names_in_the_package():
+    # the .onet files are the one definition of the builtin circuits; a mode
+    # or detector name written into the code is a second copy that a renamed
+    # circuit silently disagrees with.  The source arms and the trigger
+    # group are names the package itself defines.
+    names = set().union(*map(_declared_names, BUILTINS))
+    names -= {*UPPER_ARM, *LOWER_ARM, TRIGGER_GROUP}
+    package = Path(ghzgen.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", BUILTINS)

@@ -16,7 +16,6 @@ from ghzgen import (
     all_families,
     analyze,
     branch_a_literal,
-    branch_b_literal,
     branch_states,
     build_fig3,
     build_ghzps,
@@ -48,6 +47,10 @@ def _fig3_slots():
     return analyze(build_fig3()).slots
 
 
+def _fig1_positions():
+    return analyze(build_ghzps()).positions
+
+
 def test_ghz_target_literal():
     t = ghz_target(("m1", "m2", "m3"))
     hhv = ((("m1", "H"), 1), (("m2", "H"), 1), (("m3", "V"), 1))
@@ -68,14 +71,16 @@ def _fan_out(weights=None):
 def test_fan_out_branch_conditionals():
     results = _fan_out()
     assert set(results) == {"A", "B"}
+    positions = _fig1_positions()
 
     a = results["A"]
     assert a.joint_probability == pytest.approx(1 / 24, abs=TOL)
-    assert fidelity(a.conditional, branch_a_literal()) == pytest.approx(1.0, abs=TOL)
+    assert fidelity(a.conditional, branch_a_literal(positions)) == pytest.approx(1.0, abs=TOL)
 
     b = results["B"]
     assert b.joint_probability == pytest.approx(1 / 16, abs=TOL)
-    assert fidelity(b.conditional, branch_b_literal()) == pytest.approx(1.0, abs=TOL)
+    b_literal = family_state(PSI_PLUS, positions)
+    assert fidelity(b.conditional, b_literal) == pytest.approx(1.0, abs=TOL)
 
 
 @pytest.mark.parametrize(
@@ -93,9 +98,8 @@ def test_fan_out_joint_probabilities_scale_with_weights(weights):
     results = _fan_out(CaseWeights(*weights))
     assert results["A"].joint_probability == pytest.approx((w1 + w2) / 12, abs=TOL)
     assert results["B"].joint_probability == pytest.approx(w3 / 8, abs=TOL)
-    assert fidelity(results["B"].conditional, branch_b_literal()) == pytest.approx(
-        1.0, abs=TOL
-    )
+    b_literal = family_state(PSI_PLUS, _fig1_positions())
+    assert fidelity(results["B"].conditional, b_literal) == pytest.approx(1.0, abs=TOL)
 
 
 def test_fan_out_unbalanced_weights_reshape_product_branch():
@@ -394,6 +398,21 @@ def test_run_full_sampling_covers_both_branches():
     assert seen == {"A", "B"}
 
 
+def test_run_full_sampling_keeps_one_entry_when_pattern_labels_coincide():
+    # with these output names the psi patterns ttr and rrt both read
+    # "abcdxy"; a sample is still the one drawn entry, not every match
+    rename = {"e1": "ab", "E1": "a", "e2": "cdx", "E2": "bcd", "e3": "xy", "E3": "y"}
+    text = "\n".join(
+        " ".join(rename.get(t, t) for t in line.split())
+        for line in builtin_text("fig3").splitlines()
+    )
+    network = elaborate(parse(text), name="collide")
+    for seed in range(4):
+        report = run_full(network=network, sample=True, seed=seed)
+        assert len(report.entries) == 1
+        assert report.entries[0].pattern.label == report.sampled["pattern"]
+
+
 # --- verification helpers and literals -------------------------------------
 
 
@@ -425,10 +444,11 @@ def test_verify_reference_states_all_pass():
 def test_evolved_family_literals_match_engine():
     network = build_fig3()
     fan_in = network.elements[16:]
+    positions = analyze(network).positions
     for fam in all_families():
         if fam.mirrored:
             continue
-        state = family_state(fam)
+        state = family_state(fam, positions)
         for element in fan_in:
             state = element.apply(state)
         literal = evolved_family_literal(fam, _fig3_slots())

@@ -10,7 +10,6 @@ from ghzgen import (
     DEFAULT_ALPHA,
     DEFAULT_THETA,
     KerrCoupling,
-    default_couplings,
     dual_pass_emission,
     feed_forward,
     fidelity,
@@ -20,14 +19,20 @@ from ghzgen import (
     tag_phases,
     two_pair_product,
     CaseWeights,
+    build_fig3,
+    build_ghzps,
 )
 
 from oracles import states_close
 
 
+# the probe couplings of the builtin circuits, from their kerr lines
+COUPLINGS = build_ghzps().couplings
+
+
 def test_default_couplings_signs():
-    ups = default_couplings("a1", "a2")
-    assert {(c.mode, c.pol, c.units) for c in ups} == {
+    assert build_fig3().couplings == COUPLINGS
+    assert {(c.mode, c.pol, c.units) for c in COUPLINGS} == {
         ("a1", "H", 0.5),
         ("a1", "V", 0.5),
         ("a2", "H", -0.5),
@@ -36,15 +41,14 @@ def test_default_couplings_signs():
 
 
 def test_tags_sort_the_three_cases():
-    couplings = default_couplings()
     for case, expected in (((1, 1), 1.0), ((2, 2), -1.0), ((1, 2), 0.0)):
-        tags = tag_phases(two_pair_product(*case), couplings)
+        tags = tag_phases(two_pair_product(*case), COUPLINGS)
         assert set(tags.values()) == {expected}
 
 
 def test_branch_probabilities_default_weights():
     state = dual_pass_emission()
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     outcomes = homodyne_discriminate(state, tags)
     probs = {o.branch: o.probability for o in outcomes}
     assert probs["A"] == pytest.approx(0.5, abs=1e-12)
@@ -54,7 +58,7 @@ def test_branch_probabilities_default_weights():
 
 def test_deterministic_record_sits_at_branch_mean():
     state = dual_pass_emission()
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     a, b = homodyne_discriminate(state, tags)
     assert a.branch == "A" and b.branch == "B"
     assert a.x == pytest.approx(2 * DEFAULT_ALPHA * math.cos(DEFAULT_THETA))
@@ -64,7 +68,7 @@ def test_deterministic_record_sits_at_branch_mean():
 
 def test_branch_conditionals_preserve_photon_numbers():
     state = dual_pass_emission()
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     for outcome in homodyne_discriminate(state, tags):
         for k, _ in outcome.conditional.sorted_terms():
             assert sum(n for _, n in k.occupations) == 4
@@ -75,7 +79,7 @@ def test_branch_a_keeps_sign_coherence():
     up = two_pair_product(1, 1)
     down = two_pair_product(2, 2)
     state = (up + down) * (0.5 ** 0.5)
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     (outcome,) = homodyne_discriminate(state, tags)
     assert outcome.branch == "A"
     assert outcome.probability == pytest.approx(1.0)
@@ -86,7 +90,7 @@ def test_sampled_record_phases_are_undone_by_feed_forward():
     up = two_pair_product(1, 1)
     down = two_pair_product(2, 2)
     state = (up + down) * (0.5 ** 0.5)
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     rng = np.random.default_rng(11)
     (outcome,) = homodyne_discriminate(state, tags, rng=rng)
     assert outcome.phi != 0.0
@@ -98,7 +102,7 @@ def test_sampled_record_phases_are_undone_by_feed_forward():
 
 def test_feed_forward_is_identity_on_branch_b():
     state = dual_pass_emission()
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     _, b = homodyne_discriminate(state, tags)
     assert feed_forward(b) == b.conditional
 
@@ -131,7 +135,7 @@ def test_probe_distinguishability_value():
 
 def test_sampling_is_deterministic_per_seed():
     state = dual_pass_emission()
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     a1 = homodyne_discriminate(state, tags, rng=np.random.default_rng(5))
     a2 = homodyne_discriminate(state, tags, rng=np.random.default_rng(5))
     assert [(o.branch, o.x, o.phi) for o in a1] == [
@@ -150,7 +154,7 @@ def test_property_branch_probabilities_sum_to_one(raw):
     total = sum(raw)
     weights = CaseWeights(*(w / total for w in raw))
     state = dual_pass_emission(weights)
-    tags = tag_phases(state, default_couplings())
+    tags = tag_phases(state, COUPLINGS)
     outcomes = homodyne_discriminate(state, tags)
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
     # mixed-case weight feeds branch B, the rest branch A
