@@ -73,7 +73,7 @@ def main():
     print("\n== corrected channel output ==")
     report = run_full(errors, theta=theta, alpha=alpha)
     for entry in report.entries:
-        label = "".join(entry.pattern.modes)
+        label = entry.pattern.label
         family = getattr(entry.family, "label", entry.family)
         print(f"  {entry.branch}/{label}: family {family}, "
               f"corrections {'.'.join(entry.corrections)}, "

@@ -13,14 +13,15 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
 circuit-parse or network errors (a wrong detector structure, a
-miswired fan-out, a non-finite, negative or overflowing probe setting,
-noise on a source-style network, a sweep with no mixed-pass branch, or
-an entanglement check whose case weights empty a branch).  The
-``--weights``, ``--theta`` and ``--alpha`` flags override the circuit's
-own values, the same way for every command that takes them, and are
-checked with the circuit, before any other flag.  JSON
-output is byte-deterministic for fixed inputs and seed: keys are sorted
-and floats use their shortest round-trip form.
+miswired fan-out, output mode names under which two coincidence
+patterns read alike, a non-finite, negative or overflowing probe
+setting, noise on a source-style network, a sweep with no mixed-pass
+branch, or an entanglement check whose case weights empty a branch).
+The ``--weights``, ``--theta`` and ``--alpha`` flags override the
+circuit's own values, the same way for every command that takes them,
+and are checked with the circuit, before any other flag.  JSON output
+is byte-deterministic for fixed inputs and seed: keys are sorted and
+floats use their shortest round-trip form.
 """
 
 from __future__ import annotations

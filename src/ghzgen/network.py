@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .elements import make_pbs
@@ -121,6 +123,23 @@ class ChannelSlot(NamedTuple):
         return (self.lower, self.upper)
 
 
+class CoincidencePattern(NamedTuple):
+    """Which output mode fired for each photon.
+
+    ``shape`` records the structural choice per photon: "t" for the
+    resolving merge's transmitted output, "r" for the reflected one.
+    ``groups`` select it: one photon in each fired mode, none in its partner.
+    """
+
+    modes: tuple[str, str, str]
+    shape: tuple[str, str, str]
+    groups: tuple[tuple[tuple[str], int], ...]
+
+    @property
+    def label(self) -> str:
+        return "".join(self.modes)
+
+
 class NetworkStructure(NamedTuple):
     style: str  # "generator" or "source"
     slots: tuple[ChannelSlot, ...]
@@ -128,6 +147,7 @@ class NetworkStructure(NamedTuple):
     # one mode group per photon: the channel pairs of a generator, the
     # detector groups of a source
     positions: tuple[tuple[str, ...], ...]
+    patterns: tuple[CoincidencePattern, ...]  # ("t", "r")^3 order; () for a source
 
 
 def _as_resolving_pbs(element: ModeTransform, group_modes: set[str]) -> ChannelSlot | None:
@@ -157,8 +177,16 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
     Generator style requires every photon group's two modes to be the two
     outputs of a single polarization-resolving PBS; the channel modes are
     that element's inputs and the fan-in boundary is the first element
-    consuming any of them.
+    consuming any of them.  Two coincidence patterns with one label raise
+    ``NetworkError``.  Memoized on ``(elements, detectors)``: copies with
+    other settings or source weights share one structure.
     """
+    return _analyze(network.elements, network.detectors)
+
+
+@lru_cache(maxsize=8)
+def _analyze(elements, detectors) -> NetworkStructure:
+    network = CircuitNetwork(name="", elements=elements, detectors=detectors)
     if network.trigger is None:
         raise NetworkError(f"network has no detector group named {TRIGGER_GROUP!r}")
     groups = network.photon_groups
@@ -180,6 +208,7 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
                 slots=(),
                 boundary=len(network.elements),
                 positions=tuple(g.modes for g in groups),
+                patterns=(),
             )
         slots.append(slot)
 
@@ -189,9 +218,18 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
         if any(rail.mode in channel_modes for rail in element.in_rails):
             boundary = i
             break
+    patterns: dict[str, CoincidencePattern] = {}
+    for shape in product("tr", repeat=3):
+        fired = tuple(s.out_t if c == "t" else s.out_r for s, c in zip(slots, shape))
+        silent = tuple(s.out_r if c == "t" else s.out_t for s, c in zip(slots, shape))
+        occupancy = tuple(((m,), 1) for m in fired) + tuple(((m,), 0) for m in silent)
+        pattern = CoincidencePattern(modes=fired, shape=shape, groups=occupancy)
+        if patterns.setdefault(pattern.label, pattern) is not pattern:
+            raise NetworkError(f"two coincidence patterns both read {pattern.label!r}")
     return NetworkStructure(
         style="generator",
         slots=tuple(slots),
         boundary=boundary,
         positions=tuple(slot.pair for slot in slots),
+        patterns=tuple(patterns.values()),
     )

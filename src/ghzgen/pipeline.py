@@ -20,7 +20,6 @@ sampled, unless an explicit seeded sample is requested.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .dsl import builtin_text, elaborate, parse
@@ -28,10 +27,10 @@ from .elements import make_hwp90
 from .network import (
     ChannelSlot,
     CircuitNetwork,
+    CoincidencePattern,
     DetectorGroup,
     NetworkError,
     NetworkSettings,
-    NetworkStructure,
     analyze,
 )
 from .noise import (
@@ -103,21 +102,6 @@ def build_fig3() -> CircuitNetwork:
 # --- coincidence patterns and the correction table -----------------------
 
 
-class CoincidencePattern(NamedTuple):
-    """Which output mode fired for each photon.
-
-    ``shape`` records the structural choice per photon: "t" for the
-    resolving merge's transmitted output, "r" for the reflected one.
-    """
-
-    modes: tuple[str, str, str]
-    shape: tuple[str, str, str]
-
-    @property
-    def label(self) -> str:
-        return "".join(self.modes)
-
-
 # Per base family: the two reachable shapes ("t"/"r" per photon), each
 # with the polarization words of the literal post-fan-in state and the
 # per-photon correction that turns them into the GHZ words.  The family
@@ -167,28 +151,19 @@ def lookup_correction(
 
 
 def postselect_coincidence(
-    state: PureState, slots: Sequence[ChannelSlot]
+    state: PureState, patterns: Sequence[CoincidencePattern]
 ) -> list[tuple[CoincidencePattern, PureState, float]]:
-    """Split a post-fan-in state over the eight output patterns of the
-    channel ``slots`` (``NetworkStructure.slots``).
+    """Split a post-fan-in state over the coincidence ``patterns``
+    (``NetworkStructure.patterns``).
 
     Requires exactly one photon in the fired mode and zero in the silent
     partner of every pair.  Returns only patterns with nonzero
     probability, each with its normalized conditional state.
     """
     results = []
-    for shape in iter_product("tr", repeat=3):
-        chosen = tuple(
-            slot.out_t if c == "t" else slot.out_r for slot, c in zip(slots, shape)
-        )
-        silent = tuple(
-            slot.out_r if c == "t" else slot.out_t for slot, c in zip(slots, shape)
-        )
-        groups: list[tuple[tuple[str, ...], int]] = [((m,), 1) for m in chosen]
-        groups.extend(((m,), 0) for m in silent)
-        conditional, prob = project_occupancy(state, groups)
+    for pattern in patterns:
+        conditional, prob = project_occupancy(state, pattern.groups)
         if prob > 0.0:
-            pattern = CoincidencePattern(modes=chosen, shape=tuple(shape))
             results.append((pattern, conditional, prob))
     return results
 
@@ -236,9 +211,7 @@ class BranchState(NamedTuple):
 
 
 def branch_states(
-    network: CircuitNetwork,
-    structure: NetworkStructure | None = None,
-    rng: Generator | np.random.Generator | None = None,
+    network: CircuitNetwork, rng: Generator | np.random.Generator | None = None
 ) -> list[BranchState]:
     """Emission through fan-out, fourfold coincidence and the trigger herald,
     per branch.
@@ -247,7 +220,7 @@ def branch_states(
     homodyne records (see ``homodyne_discriminate``)."""
     if network.source is None:
         raise NetworkError("network declares no source")
-    structure = structure or analyze(network)
+    structure = analyze(network)
     settings = network.settings
     emission = dual_pass_emission(network.source.weights)
     tags = tag_phases(emission, network.couplings)
@@ -343,7 +316,7 @@ def entanglement_report(
             bs.joint_probability,
             entanglement_summary(bs.conditional, structure.positions),
         )
-        for bs in branch_states(network, structure)
+        for bs in branch_states(network)
     ]
 
 
@@ -351,14 +324,14 @@ def _resolve(
     state: PureState,
     family: NoiseFamily | str,
     fan_in: Sequence[ModeTransform],
-    slots: Sequence[ChannelSlot],
+    patterns: Sequence[CoincidencePattern],
 ):
     """Fan a channel state in, postselect each coincidence pattern, apply
     the table's correction and score it against the GHZ target.
 
     Yields (pattern, pattern probability, ops, corrected state, fidelity).
     """
-    for pattern, cond, p_pat in postselect_coincidence(compose(fan_in, state), slots):
+    for pattern, cond, p_pat in postselect_coincidence(compose(fan_in, state), patterns):
         ops = lookup_correction(family, pattern)
         corrected = apply_corrections(cond, pattern, ops)
         fid = fidelity(corrected, ghz_target(pattern.modes))
@@ -400,7 +373,7 @@ def run_full(
         from ._rng import Generator
 
         rng = Generator(seed)
-    branches = branch_states(network, structure, rng=rng)
+    branches = branch_states(network, rng=rng)
     if errors and not any(bs.branch == "B" for bs in branches):
         raise NetworkError("channel noise needs a nonzero mixed-pass weight")
     positions = structure.positions
@@ -433,7 +406,7 @@ def run_full(
         else:
             family = classify_family(chan, positions)
         for pattern, p_pat, ops, corrected, fid in _resolve(
-            chan, family, fan_in, structure.slots
+            chan, family, fan_in, structure.patterns
         ):
             entries.append(
                 RunEntry(
@@ -560,7 +533,7 @@ def verify_correction_table(
     rows = []
     for fam in families:
         for pattern, p_pat, ops, _, fid in _resolve(
-            family_state(fam, structure.positions), fam, fan_in, structure.slots
+            family_state(fam, structure.positions), fam, fan_in, structure.patterns
         ):
             rows.append(
                 {
@@ -584,7 +557,7 @@ def verify_reference_states() -> list[dict]:
 
     network = build_ghzps()
     structure = analyze(network)
-    by_branch = {bs.branch: bs for bs in branch_states(network, structure)}
+    by_branch = {bs.branch: bs for bs in branch_states(network)}
     a_state, a_prob = by_branch["A"].conditional, by_branch["A"].joint_probability
     amps = [amp for _, amp in phase_fixed(a_state).sorted_terms()]
     amps_ok = all(abs(amp - 0.5) <= tol for amp in amps)

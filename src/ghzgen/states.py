@@ -332,6 +332,7 @@ class ModeTransform:
         "in_rails",
         "out_rails",
         "rows",
+        "_hash",
         "_rail_index",
         "_columns",
         "_plans",
@@ -371,6 +372,7 @@ class ModeTransform:
         object.__setattr__(self, "in_rails", in_rails)
         object.__setattr__(self, "out_rails", out_rails)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((name, in_rails, out_rails, rows)))
         # what apply's plans are built from: the column index of each input
         # rail, -1 for an output rail that is no input (a passthrough photon
         # there collides), and per input column the nonzero (output index,
@@ -406,7 +408,7 @@ class ModeTransform:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.in_rails, self.out_rails, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,9 +15,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ghzgen import DEFAULT_ALPHA, DEFAULT_THETA, cli, elaborate, parse
+from ghzgen import DEFAULT_ALPHA, DEFAULT_THETA, analyze, cli, elaborate, parse
 from ghzgen.dsl import builtin_text
 from ghzgen.network import TRIGGER_GROUP
 from ghzgen.source import LOWER_ARM, UPPER_ARM
@@ -506,6 +507,9 @@ def test_renamed_fig3_runs_like_fig3(fresh):
     # the circuit is the only place the package learns its mode and
     # detector names: renaming them changes only the names in the output
     rename = dict(zip(_FIG3_NAMES, fresh))
+    # output names that run together into one pattern label are refused
+    outputs = [(rename[s.out_t], rename[s.out_r]) for s in analyze(_FIG3).slots]
+    assume(len({"".join(modes) for modes in itertools.product(*outputs)}) == 8)
     lines = [
         line if line.startswith("#") else " ".join(rename.get(t, t) for t in line.split())
         for line in builtin_text("fig3").splitlines()
@@ -519,6 +523,30 @@ def test_renamed_fig3_runs_like_fig3(fresh):
         assert _without_mode_names(_stdout(*run, "--network", str(path))) == (
             _without_mode_names(_fig3_stdout(*run))
         )
+
+
+def _colliding_fig3(tmp_path):
+    # fig3 with output names under which patterns ttr and rrt both read "abcdxy"
+    rename = {"e1": "ab", "E1": "a", "e2": "cdx", "E2": "bcd", "e3": "xy", "E3": "y"}
+    lines = [
+        " ".join(rename.get(t, t) for t in line.split())
+        for line in builtin_text("fig3").splitlines()
+    ]
+    path = tmp_path / "collide.onet"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["run", "dump", "sweep-noise", "analyze-entanglement"])
+def test_colliding_pattern_labels_are_usage_errors(capsys, tmp_path, command):
+    circuit = _colliding_fig3(tmp_path)
+    code, out, err = _run(capsys, command, "--network", circuit)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "both read 'abcdxy'" in err
+    # the text itself is well formed
+    assert _run(capsys, "parse", "--network", circuit)[0] == 0
 
 
 # --- parse and dump -----------------------------------------------------------

@@ -15,12 +15,18 @@ from ghzgen import (
     SourceSpec,
     CaseWeights,
     analyze,
+    branch_states,
     build_fig3,
     build_ghzps,
+    elaborate,
+    entanglement_report,
     make_bs,
     make_pbs,
+    parse,
     run_full,
 )
+from ghzgen import network as network_module
+from ghzgen.dsl import builtin_text
 
 
 def test_detector_lookup_and_trigger():
@@ -142,6 +148,47 @@ def test_positions_by_style():
     assert generator.style == "generator"
     assert generator.positions == (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
     assert generator.positions == tuple(slot.pair for slot in generator.slots)
+
+
+def test_analyze_runs_once_per_wiring(monkeypatch):
+    # the structure depends on the elements and detectors alone: copies
+    # with other weights or probe settings reuse it and build no reference
+    # PBS, while a renamed circuit gets its own
+    built = []
+    monkeypatch.setattr(
+        network_module, "make_pbs", lambda *modes: built.append(modes) or make_pbs(*modes)
+    )
+    fig3 = build_fig3()
+    run_full(network=fig3)
+    weights = CaseWeights(0.2, 0.3, 0.5)
+    built.clear()
+    run_full("X@1", network=fig3, weights=weights, theta=0.02)
+    entanglement_report(fig3.with_settings(theta=0.03), weights=weights)
+    branch_states(fig3.with_overrides(weights, alpha=5.0))
+    assert built == []
+
+    tuned = fig3.with_overrides(weights, theta=0.02, alpha=5.0)
+    assert analyze(tuned) is analyze(fig3)
+    assert analyze(elaborate(parse(builtin_text("fig3")), name="again")) is analyze(fig3)
+
+    text = builtin_text("fig3").replace("e1", "memo_e1").replace("E1", "memo_E1")
+    renamed = analyze(elaborate(parse(text), name="renamed"))
+    assert built
+    assert renamed is not analyze(fig3)
+    assert renamed.patterns[0].label == "memo_e1e2e3"
+
+
+def test_generator_patterns_in_shape_order():
+    patterns = analyze(build_fig3()).patterns
+    assert [p.shape for p in patterns] == [
+        tuple(s) for s in ("ttt", "ttr", "trt", "trr", "rtt", "rtr", "rrt", "rrr")
+    ]
+    ttr = patterns[1]
+    assert ttr.label == "e1e2E3"
+    assert ttr.groups == (
+        (("e1",), 1), (("e2",), 1), (("E3",), 1), (("E1",), 0), (("E2",), 0), (("e3",), 0)
+    )
+    assert analyze(build_ghzps()).patterns == ()
 
 
 def test_settings_defaults():

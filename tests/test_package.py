@@ -1,8 +1,10 @@
 """The package namespace (``__all__`` and the imports in ``__init__``),
-the data files the wheel ships, where the package imports numpy, and
-what elaborating a circuit leaves for ``apply`` to do."""
+the data files the wheel ships, where the package imports numpy, what
+elaborating a circuit leaves for ``apply`` to do, and the names the
+benchmark tracer wraps."""
 
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
@@ -106,3 +108,28 @@ def test_elaborate_builds_no_apply_plans(name):
     network = elaborate(parse(builtin_text(name)), name=name)
     assert network.elements
     assert all(not e._plans and not e._patterns for e in network.elements)
+
+
+def _tracer_targets() -> list:
+    """The ``(module, attribute)`` pairs of ``benchmarks/tracer.py``'s
+    ``TARGETS``."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attr) for _, module, attr, _ in tracer.TARGETS]
+
+
+def test_every_tracer_target_resolves():
+    # the tracer skips a target it cannot find without a word, so a renamed
+    # function would zero its per-layer metric; every name must resolve
+    targets = _tracer_targets()
+    assert ("ghzgen.states", "ModeTransform.apply") in targets
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 import oracles
 from ghzgen import (
     CaseWeights,
-    CoincidencePattern,
     NetworkError,
     NoiseFamily,
     PHI_PLUS,
@@ -45,6 +44,10 @@ TOL = 1e-12
 
 def _fig3_slots():
     return analyze(build_fig3()).slots
+
+
+def _fig3_patterns():
+    return analyze(build_fig3()).patterns
 
 
 def _fig1_positions():
@@ -157,7 +160,7 @@ def test_postselect_splits_patterns():
     vvh = ket(("E1", "V"), ("E2", "V"), ("e3", "H"))
     blocked = ket(("e1", "H", 2), ("e2", "H"), ("E3", "V"), amp=0.5)
     state = 0.5 * hhv + (0.5 + 0.5j) * vvh + blocked
-    results = postselect_coincidence(state, _fig3_slots())
+    results = postselect_coincidence(state, _fig3_patterns())
     by_label = {pattern.label: (pattern, cond, p) for pattern, cond, p in results}
     assert set(by_label) == {"e1e2E3", "E1E2e3"}
 
@@ -175,17 +178,14 @@ def test_postselect_splits_patterns():
 
 def test_postselect_empty_for_non_coincident_state():
     state = ket(("e1", "H"), ("e1", "V"), ("e2", "H"))
-    assert postselect_coincidence(state, _fig3_slots()) == []
+    assert postselect_coincidence(state, _fig3_patterns()) == []
 
 
 # --- correction table -----------------------------------------------------
 
 
 def _pattern(shape):
-    modes = tuple(
-        f"e{k}" if c == "t" else f"E{k}" for k, c in zip((1, 2, 3), shape)
-    )
-    return CoincidencePattern(modes=modes, shape=tuple(shape))
+    return next(p for p in _fig3_patterns() if p.shape == tuple(shape))
 
 
 def test_lookup_correction_base_rows():
@@ -398,19 +398,18 @@ def test_run_full_sampling_covers_both_branches():
     assert seen == {"A", "B"}
 
 
-def test_run_full_sampling_keeps_one_entry_when_pattern_labels_coincide():
-    # with these output names the psi patterns ttr and rrt both read
-    # "abcdxy"; a sample is still the one drawn entry, not every match
+def test_run_full_refuses_colliding_pattern_labels():
+    # with these output names the psi patterns ttr and rrt would both read
+    # "abcdxy", and a report could not tell them apart
     rename = {"e1": "ab", "E1": "a", "e2": "cdx", "E2": "bcd", "e3": "xy", "E3": "y"}
     text = "\n".join(
         " ".join(rename.get(t, t) for t in line.split())
         for line in builtin_text("fig3").splitlines()
     )
     network = elaborate(parse(text), name="collide")
-    for seed in range(4):
-        report = run_full(network=network, sample=True, seed=seed)
-        assert len(report.entries) == 1
-        assert report.entries[0].pattern.label == report.sampled["pattern"]
+    for sample in (False, True):
+        with pytest.raises(NetworkError, match="both read 'abcdxy'"):
+            run_full(network=network, sample=sample)
 
 
 # --- verification helpers and literals -------------------------------------

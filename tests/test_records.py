@@ -49,7 +49,7 @@ def _records():
         "Statement": (document.statements[0], "line"),
         "DslDocument": (document, "statements"),
         "CoincidencePattern": (entry.pattern, "shape"),
-        "BranchState": (branch_states(network, structure)[0], "conditional"),
+        "BranchState": (branch_states(network)[0], "conditional"),
         "RunEntry": (entry, "fidelity"),
         "RunReport": (report, "entries"),
     }

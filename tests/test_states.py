@@ -30,6 +30,7 @@ from ghzgen import (
     homodyne_discriminate,
     inner_product,
     ket,
+    make_pbs,
     parse,
     phase_fixed,
     project_occupancy,
@@ -245,6 +246,25 @@ def test_transform_is_immutable_hashable_and_pickles():
     assert back == h and back.rows == h.rows
     state = ket(("a", "H"), amp=0.8) + ket(("a", "V"), amp=0.6)
     assert back.apply(state) == h.apply(state)
+
+
+def test_transform_unpickled_hashes_equal_to_the_original():
+    # the hash is computed once, at construction; an element pickled under
+    # another hash seed is rebuilt and hashes by this interpreter's rules
+    code = (
+        "import pickle, sys; from ghzgen import make_pbs; "
+        "sys.stdout.buffer.write(pickle.dumps(make_pbs('a', 'b', 'c', 'd')))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="12345")
+    blob = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, check=True
+    ).stdout
+    here = make_pbs("a", "b", "c", "d")
+    for back in (pickle.loads(blob), pickle.loads(pickle.dumps(here))):
+        assert back == here and hash(back) == hash(here)
+        assert {here: "found"}[back] == "found"
+    assert hash(here) == hash((here.name, here.in_rails, here.out_rails, here.rows))
 
 
 def test_apply_hadamard_twice_is_identity():
