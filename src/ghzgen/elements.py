@@ -1,9 +1,9 @@
 """Constructors for the optical elements used by the generator networks.
 
-Each constructor returns a ``ModeTransform``.  Sign conventions (none of
-which are observable in the postselected protocol quantities, but which are
-fixed so the displayed single-photon evolutions come out with all plus
-signs):
+Each constructor interns its ``ModeTransform`` in a bounded cache of
+``INTERN_SIZE`` entries: equal calls share one element and its ``apply``
+plans.  Sign conventions (unobservable in the postselected quantities;
+fixed so the displayed single-photon evolutions show all plus signs):
 
   * PBS: transmits H, reflects V, no reflection phase.  From the first
     port, H -> out_t and V -> out_r; from the second port, H -> out_r and
@@ -19,10 +19,12 @@ resulting transform is a rectangular isometry.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .states import H, V, ModeTransform, Rail
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+INTERN_SIZE = 64  # elements kept per constructor; fig3 needs at most 11 of one
 
 
 def _distinct(name: str, modes) -> None:
@@ -31,6 +33,7 @@ def _distinct(name: str, modes) -> None:
         raise ValueError(f"{name}: duplicate spatial mode in {modes}")
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def make_pbs(
     in1: str, in2: str | None, out_t: str, out_r: str
 ) -> ModeTransform:
@@ -49,6 +52,7 @@ def make_pbs(
     return ModeTransform(name=label, in_rails=in_rails, out_rails=out_rails, matrix=m)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def make_bs(in1: str, in2: str | None, out1: str, out2: str) -> ModeTransform:
     """Polarization-preserving 50:50 splitter; ``in2=None`` for a dark port."""
     _distinct("bs", (in1, in2, out1, out2))
@@ -66,18 +70,21 @@ def make_bs(in1: str, in2: str | None, out1: str, out2: str) -> ModeTransform:
     return ModeTransform(name=label, in_rails=in_rails, out_rails=out_rails, matrix=m)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def make_hwp45(mode: str) -> ModeTransform:
     rails = (Rail(mode, H), Rail(mode, V))
     m = [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]
     return ModeTransform(name=f"hwp45({mode})", in_rails=rails, out_rails=rails, matrix=m)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def make_hwp90(mode: str) -> ModeTransform:
     rails = (Rail(mode, H), Rail(mode, V))
     m = [[0.0, 1.0], [1.0, 0.0]]
     return ModeTransform(name=f"hwp90({mode})", in_rails=rails, out_rails=rails, matrix=m)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def make_route(src: str, dst: str) -> ModeTransform:
     """Lossless rerouting (mirror or fiber): relabels the spatial mode."""
     _distinct("route", (src, dst))

@@ -168,19 +168,12 @@ def postselect_coincidence(
     return results
 
 
-@lru_cache(maxsize=256)
-def _flip(mode: str) -> ModeTransform:
-    """The X correction on ``mode``.  One element per mode, so that the
-    plans its ``apply`` builds serve every later correction there."""
-    return make_hwp90(mode)
-
-
 def apply_corrections(
     state: PureState, pattern: CoincidencePattern, ops: Sequence[str]
 ) -> PureState:
     for mode, op in zip(pattern.modes, ops):
         if op == "X":
-            state = _flip(mode).apply(state)
+            state = make_hwp90(mode).apply(state)
         elif op != "I":
             raise ValueError(f"unsupported correction op {op!r}")
     return state

@@ -58,7 +58,7 @@ def pdc_pair(a: str, b: str) -> PureState:
     return s.normalized()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def two_pair_product(i: int, j: int) -> PureState:
     """Two pairs, one from pass ``i`` and one from pass ``j``, normalized.
 

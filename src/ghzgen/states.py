@@ -12,10 +12,10 @@ Conventions:
     arithmetic operation, so zero really means zero
   * ``ModeTransform.apply`` builds a plan on the first sight of each input
     ket and replays it on every later call: the same floating-point
-    operations, in the same order, so a replay is bit-identical to a
-    first sight.  An element's plans grow with the distinct kets it meets,
-    not with the number of calls.  ``PRUNE_TOL`` pruning stays outside the
-    replayed arithmetic, in ``PureState._pruned``
+    operations, in the same order, so a replay is bit-identical to a first
+    sight.  Plans are per distinct element (the ``elements`` constructors
+    intern) and grow with the distinct kets it meets, not with the calls;
+    ``PRUNE_TOL`` pruning stays outside the plans, in ``PureState._pruned``
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)

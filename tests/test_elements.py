@@ -1,4 +1,7 @@
-"""Element factories: routing conventions, signs, isometry shapes."""
+"""Element factories: routing conventions, signs, isometry shapes, and
+interning."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from ghzgen import (
     make_pbs,
     make_route,
 )
+from ghzgen.dsl import builtin_text, elaborate, parse
+from ghzgen.network import analyze
 
 from oracles import states_close
 
@@ -131,3 +136,24 @@ def test_two_photon_trace_through_pbs():
     k, amp = _single(out)
     assert k == FockKet({Rail("t", "H"): 1, Rail("r", "V"): 1})
     assert amp == pytest.approx(1.0)
+
+
+def test_equal_elements_are_one_object():
+    constructors = (make_bs, make_hwp45, make_hwp90, make_pbs, make_route)
+    # an entry another test left could be evicted halfway through
+    for make in constructors:
+        make.cache_clear()
+    fig1, fig3, again = (
+        elaborate(parse(builtin_text(name)), name=name) for name in ("fig1", "fig3", "fig3")
+    )
+    objects = list({id(e): e for net in (fig1, fig3, again) for e in net.elements}.values())
+    assert len(set(objects)) == len(objects)
+    boundary = analyze(fig3).boundary
+    assert boundary == len(fig1.elements)
+    assert all(a is b for a, b in zip(fig3.elements[:boundary], fig1.elements))
+    assert make_hwp90("e1") is make_hwp90("e1")
+    back = pickle.loads(pickle.dumps(make_hwp90("e1")))
+    assert back == make_hwp90("e1") and back is not make_hwp90("e1")
+    for make in constructors:
+        maxsize = make.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

@@ -1,10 +1,13 @@
 """The package namespace (``__all__`` and the imports in ``__init__``),
 the data files the wheel ships, where the package imports numpy, what
-elaborating a circuit leaves for ``apply`` to do, and the names the
-benchmark tracer wraps."""
+elaborating a circuit leaves for ``apply`` to do, the bound on every
+argument cache, and the names the benchmark tracer wraps."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
+import pkgutil
 import types
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 
 import ghzgen
 from ghzgen.dsl import BUILTINS, builtin_text, elaborate, parse
+from ghzgen.elements import make_bs, make_hwp45, make_hwp90, make_pbs, make_route
 from ghzgen.network import TRIGGER_GROUP
 from ghzgen.source import LOWER_ARM, UPPER_ARM
 
@@ -104,10 +108,35 @@ def test_no_fixture_names_in_the_package():
 @pytest.mark.parametrize("name", BUILTINS)
 def test_elaborate_builds_no_apply_plans(name):
     # a CLI start elaborates the builtin circuits before any state exists;
-    # plans are built inside apply only, on the first sight of a ket
+    # plans are built inside apply only, on the first sight of a ket.  The
+    # constructors intern, so earlier tests' elements are dropped first
+    for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
+        make.cache_clear()
     network = elaborate(parse(builtin_text(name)), name=name)
     assert network.elements
     assert all(not e._plans and not e._patterns for e in network.elements)
+
+
+def test_every_argument_cache_is_bounded():
+    # an unbounded cache keyed on its arguments grows for the life of the
+    # process with every distinct call; one without parameters holds one entry
+    caches = {}
+    for info in pkgutil.iter_modules(ghzgen.__path__, "ghzgen."):
+        if info.name == "ghzgen.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters"):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    assert "ghzgen.elements.make_pbs" in caches
+    assert "ghzgen.source.two_pair_product" in caches
+    unbounded = [
+        name
+        for name, cached in caches.items()
+        if inspect.signature(cached.__wrapped__).parameters
+        and not isinstance(cached.cache_parameters()["maxsize"], int)
+    ]
+    assert unbounded == []
 
 
 def _tracer_targets() -> list:

@@ -1,0 +1,134 @@
+"""Random well-formed circuits through the parser, the CLI and the run.
+
+``circuits()`` writes ``.onet`` text: the builtin ``pdc2`` source and
+``kerr`` lines, a chain of at most eight elements over live modes, a
+trigger and three two-mode photon groups, and sometimes a half-wave flip
+plus resolving PBS merge in front of each group, so that both network
+styles occur.  Most such circuits are miswired for the protocol; the
+properties are that the CLI never raises, that it refuses with exactly one
+``error:`` line, and that a run on fresh element objects reads the same
+bytes as a run on the interned ones, whose ``apply`` plans earlier
+examples built.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import pickle
+
+from hypothesis import given, settings, strategies as st
+
+from ghzgen import cli, elaborate, parse, run_full
+from ghzgen.dsl import builtin_text, pretty_print
+from ghzgen.network import NetworkError, TRIGGER_GROUP
+
+# the source and probe lines of the builtin circuits
+_HEADER = [
+    line
+    for line in builtin_text("fig3").splitlines()
+    if line.startswith(("source ", "kerr "))
+]
+_CHAIN = ("pbs", "bs", "hwp45", "hwp90", "route")
+_MAX_CHAIN = 8
+# a trigger mode and three photon pairs; a chain never lowers the live
+# count, and each one-input splitter raises it by one
+_DETECTED = 7
+
+
+@st.composite
+def circuits(draw):
+    live = ["a1", "b1", "a2", "b2"]
+    names = (f"m{i}" for i in itertools.count())
+    lines = list(_HEADER)
+
+    def split(kind, inputs):
+        outs = [next(names), next(names)]
+        for mode in inputs:
+            live.remove(mode)
+        live.extend(outs)
+        lines.append(f"{kind} {' '.join(inputs)} -> {' '.join(outs)}")
+
+    length = draw(st.integers(0, _MAX_CHAIN - (_DETECTED - len(live))))
+    for _ in range(length):
+        kind = draw(st.sampled_from(_CHAIN))
+        if kind in ("pbs", "bs"):
+            inputs = draw(st.lists(st.sampled_from(live), min_size=1, max_size=2, unique=True))
+            split(kind, inputs)
+        elif kind == "route":
+            src = draw(st.sampled_from(live))
+            dst = next(names)
+            live[live.index(src)] = dst
+            lines.append(f"route {src} -> {dst}")
+        else:
+            lines.append(f"{kind} {draw(st.sampled_from(live))}")
+    while len(live) < _DETECTED:
+        split(draw(st.sampled_from(("pbs", "bs"))), [draw(st.sampled_from(live))])
+
+    order = draw(st.permutations(live))
+    trigger = order[: draw(st.integers(1, min(2, len(live) - 6)))]
+    pairs = [order[len(trigger) + 2 * i : len(trigger) + 2 * i + 2] for i in range(3)]
+    if draw(st.booleans()):
+        merged = []
+        for i, (lower, upper) in enumerate(pairs, start=1):
+            lines += [f"hwp90 {upper}", f"pbs {lower} {upper} -> e{i} E{i}"]
+            merged.append((f"e{i}", f"E{i}"))
+        pairs = merged
+    lines.append(f"detect {TRIGGER_GROUP} = {' '.join(trigger)}")
+    lines += [f"detect P{i} = {a} {b}" for i, (a, b) in enumerate(pairs, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def _canonical(report) -> bytes:
+    """The report's every number and state, bit for bit, as bytes."""
+    entries = [
+        [
+            e.branch,
+            getattr(e.family, "label", e.family),
+            e.pattern.label if e.pattern else None,
+            e.branch_probability,
+            e.coincidence_probability,
+            e.pattern_probability,
+            e.joint_probability,
+            e.corrections,
+            e.fidelity,
+            [[k.occupations, [a.real, a.imag]] for k, a in e.state.sorted_terms()],
+            e.entanglement,
+        ]
+        for e in report.entries
+    ]
+    payload = [report.style, report.weights, report.probe_overlap, entries]
+    return json.dumps(payload, default=lambda o: o.tolist()).encode()
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(text=circuits())
+def test_random_circuits_round_trip_refuse_cleanly_and_replay_bit_for_bit(
+    text, tmp_path_factory
+):
+    doc = parse(text)
+    assert parse(pretty_print(doc)) == doc
+
+    path = tmp_path_factory.getbasetemp() / "random.onet"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "dump", "sweep-noise"):
+        code, err = _main(command, "--network", str(path))
+        assert code in (0, 2), (command, code, err)
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (command, err)
+
+    network = elaborate(doc, name="random")
+    try:
+        interned = run_full(network=network)
+    except NetworkError:
+        return
+    fresh = network._replace(elements=pickle.loads(pickle.dumps(network.elements)))
+    assert all(a is not b for a, b in zip(fresh.elements, network.elements))
+    assert _canonical(run_full(network=fresh)) == _canonical(interned)
