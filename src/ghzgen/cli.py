@@ -15,8 +15,10 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage,
 circuit-parse or network errors (a wrong detector structure, a
 miswired fan-out, output mode names under which two coincidence
 patterns read alike, a non-finite, negative or overflowing probe
-setting, noise on a source-style network, a sweep with no mixed-pass
-branch, or an entanglement check whose case weights empty a branch).
+setting, noise on a source-style network, noise or a sweep with no
+mixed-pass branch, whether its weight is zero or no mixed-pass branch
+passes the fourfold coincidence, a sampled run in which no branch passes
+it, or an entanglement check whose case weights empty a branch).
 The ``--weights``, ``--theta`` and ``--alpha`` flags override the
 circuit's own values, the same way for every command that takes them,
 and are checked with the circuit, before any other flag.  JSON output
@@ -125,7 +127,7 @@ def _entry_json(entry) -> dict:
         "branch": entry.branch,
         "family": family,
         "pattern": entry.pattern.label if entry.pattern else None,
-        "shape": "".join(entry.pattern.shape) if entry.pattern else None,
+        "shape": entry.pattern.shape if entry.pattern else None,
         "branch_probability": entry.branch_probability,
         "coincidence_probability": entry.coincidence_probability,
         "pattern_probability": entry.pattern_probability,

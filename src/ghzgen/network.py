@@ -1,13 +1,15 @@
 """Circuit network container and structural analysis.
 
 A ``CircuitNetwork`` is what both the programmatic builders and the DSL
-elaborator produce: an ordered element chain plus the source, the Kerr
-couplings, and the detector groups.  ``analyze`` inspects the wiring to
-recover the protocol structure the runner needs: which detector pair
-belongs to which photon, where the channel (the noise insertion point)
-sits, and whether the network ends in polarization-resolving merges
-("generator" style, like the full GHZ generator) or exposes the raw
-fan-out arms ("source" style).
+elaborator produce: plain data, an ordered element chain plus the
+source, the Kerr couplings, and the detector groups.  ``analyze`` is the
+one reader of its wiring.  It recovers the protocol roles the runner
+needs as a ``NetworkStructure``: the trigger group, which modes carry
+each photon, where the channel (the noise insertion point) sits, and,
+when the network ends in polarization-resolving merges, the coincidence
+patterns those merges read.  A network with patterns is "generator"
+style, like the full GHZ generator; one that exposes the raw fan-out
+arms is "source" style.
 
 Every record here is an immutable named tuple.  ``SourceSpec`` and
 ``NetworkSettings`` check their values in the constructor, so a changed
@@ -67,20 +69,6 @@ class CircuitNetwork(NamedTuple):
     source: SourceSpec | None = None
     settings: NetworkSettings = NetworkSettings()
 
-    def detector(self, name: str) -> DetectorGroup | None:
-        for group in self.detectors:
-            if group.name == name:
-                return group
-        return None
-
-    @property
-    def trigger(self) -> DetectorGroup | None:
-        return self.detector(TRIGGER_GROUP)
-
-    @property
-    def photon_groups(self) -> tuple[DetectorGroup, ...]:
-        return tuple(g for g in self.detectors if g.name != TRIGGER_GROUP)
-
     def with_settings(self, **kwargs) -> "CircuitNetwork":
         settings = NetworkSettings(**{**self.settings._asdict(), **kwargs})
         return self._replace(settings=settings)
@@ -105,34 +93,17 @@ class CircuitNetwork(NamedTuple):
         return network
 
 
-class ChannelSlot(NamedTuple):
-    """One photon's channel pair and its resolving merge.
-
-    ``lower`` feeds the resolving PBS's first port (polarization kept, H
-    exits at ``out_t``); ``upper`` feeds the second port after an upstream
-    half-wave flip (so its original H exits at ``out_t`` flipped to V).
-    """
-
-    lower: str
-    upper: str
-    out_t: str
-    out_r: str
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.lower, self.upper)
-
-
 class CoincidencePattern(NamedTuple):
     """Which output mode fired for each photon.
 
-    ``shape`` records the structural choice per photon: "t" for the
-    resolving merge's transmitted output, "r" for the reflected one.
+    ``shape`` records the structural choice per photon, one letter each
+    ("ttr"): "t" for the resolving merge's transmitted output, "r" for the
+    reflected one.
     ``groups`` select it: one photon in each fired mode, none in its partner.
     """
 
     modes: tuple[str, str, str]
-    shape: tuple[str, str, str]
+    shape: str
     groups: tuple[tuple[tuple[str], int], ...]
 
     @property
@@ -141,16 +112,29 @@ class CoincidencePattern(NamedTuple):
 
 
 class NetworkStructure(NamedTuple):
-    style: str  # "generator" or "source"
-    slots: tuple[ChannelSlot, ...]
+    """The protocol roles ``analyze`` reads off a wiring; its ``style``
+    follows from whether the wiring has coincidence patterns."""
+
+    trigger: DetectorGroup
     boundary: int  # elements[:boundary] = fan-out, elements[boundary:] = fan-in
     # one mode group per photon: the channel pairs of a generator, the
     # detector groups of a source
     positions: tuple[tuple[str, ...], ...]
     patterns: tuple[CoincidencePattern, ...]  # ("t", "r")^3 order; () for a source
 
+    @property
+    def style(self) -> str:
+        return "generator" if self.patterns else "source"
 
-def _as_resolving_pbs(element: ModeTransform, group_modes: set[str]) -> ChannelSlot | None:
+
+def _as_resolving_pbs(
+    element: ModeTransform, group_modes: set[str]
+) -> tuple[str, str, str, str] | None:
+    """The mode names ``(lower, upper, out_t, out_r)`` of ``element`` if it
+    is a polarization-resolving PBS whose outputs are ``group_modes``:
+    ``lower`` keeps its polarization (H exits at ``out_t``), ``upper``
+    arrives after an upstream half-wave flip (its original H exits at
+    ``out_t`` flipped to V)."""
     in_modes = []
     for rail in element.in_rails:
         if rail.mode not in in_modes:
@@ -166,9 +150,7 @@ def _as_resolving_pbs(element: ModeTransform, group_modes: set[str]) -> ChannelS
         return None
     if element.rows != reference.rows:
         return None
-    return ChannelSlot(
-        lower=in_modes[0], upper=in_modes[1], out_t=out_modes[0], out_r=out_modes[1]
-    )
+    return (*in_modes, *out_modes)
 
 
 def analyze(network: CircuitNetwork) -> NetworkStructure:
@@ -186,50 +168,39 @@ def analyze(network: CircuitNetwork) -> NetworkStructure:
 
 @lru_cache(maxsize=8)
 def _analyze(elements, detectors) -> NetworkStructure:
-    network = CircuitNetwork(name="", elements=elements, detectors=detectors)
-    if network.trigger is None:
+    trigger = next((g for g in detectors if g.name == TRIGGER_GROUP), None)
+    if trigger is None:
         raise NetworkError(f"network has no detector group named {TRIGGER_GROUP!r}")
-    groups = network.photon_groups
+    groups = [g for g in detectors if g.name != TRIGGER_GROUP]
     if len(groups) != 3:
         raise NetworkError(f"expected 3 photon detector groups, found {len(groups)}")
     for group in groups:
         if len(set(group.modes)) != 2:
             raise NetworkError(f"detector group {group.name} must pair two modes")
 
-    slots = []
+    pairs, outputs = [], []
     for group in groups:
         modes = set(group.modes)
-        slot = next(
-            filter(None, (_as_resolving_pbs(e, modes) for e in network.elements)), None
-        )
-        if slot is None:
-            return NetworkStructure(
-                style="source",
-                slots=(),
-                boundary=len(network.elements),
-                positions=tuple(g.modes for g in groups),
-                patterns=(),
-            )
-        slots.append(slot)
+        merge = next(filter(None, (_as_resolving_pbs(e, modes) for e in elements)), None)
+        if merge is None:
+            positions = tuple(g.modes for g in groups)
+            return NetworkStructure(trigger, len(elements), positions, patterns=())
+        lower, upper, out_t, out_r = merge
+        pairs.append((lower, upper))
+        outputs.append((out_t, out_r))
 
-    channel_modes = {m for slot in slots for m in slot.pair}
-    boundary = len(network.elements)
-    for i, element in enumerate(network.elements):
+    channel_modes = {m for pair in pairs for m in pair}
+    boundary = len(elements)
+    for i, element in enumerate(elements):
         if any(rail.mode in channel_modes for rail in element.in_rails):
             boundary = i
             break
     patterns: dict[str, CoincidencePattern] = {}
-    for shape in product("tr", repeat=3):
-        fired = tuple(s.out_t if c == "t" else s.out_r for s, c in zip(slots, shape))
-        silent = tuple(s.out_r if c == "t" else s.out_t for s, c in zip(slots, shape))
+    for shape in map("".join, product("tr", repeat=3)):
+        fired = tuple(t if c == "t" else r for (t, r), c in zip(outputs, shape))
+        silent = tuple(r if c == "t" else t for (t, r), c in zip(outputs, shape))
         occupancy = tuple(((m,), 1) for m in fired) + tuple(((m,), 0) for m in silent)
         pattern = CoincidencePattern(modes=fired, shape=shape, groups=occupancy)
         if patterns.setdefault(pattern.label, pattern) is not pattern:
             raise NetworkError(f"two coincidence patterns both read {pattern.label!r}")
-    return NetworkStructure(
-        style="generator",
-        slots=tuple(slots),
-        boundary=boundary,
-        positions=tuple(slot.pair for slot in slots),
-        patterns=tuple(patterns.values()),
-    )
+    return NetworkStructure(trigger, boundary, tuple(pairs), tuple(patterns.values()))

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .dsl import builtin_text, elaborate, parse
 from .elements import make_hwp90
 from .network import (
-    ChannelSlot,
     CircuitNetwork,
     CoincidencePattern,
     DetectorGroup,
@@ -139,10 +138,9 @@ def lookup_correction(
     (shape_a, _, ops_a), (shape_b, _, ops_b) = rows
     if mirrored:
         ops_a, ops_b = ops_b, ops_a
-    shape = "".join(pattern.shape)
-    if shape == shape_a:
+    if pattern.shape == shape_a:
         return tuple(ops_a)
-    if shape == shape_b:
+    if pattern.shape == shape_b:
         return tuple(ops_b)
     raise NetworkError(
         f"pattern {pattern.label} is unreachable for this family "
@@ -221,7 +219,7 @@ def branch_states(
         emission, tags, theta=settings.theta, alpha=settings.alpha, rng=rng
     )
     fan_out = network.elements[: structure.boundary]
-    trigger = network.trigger
+    trigger = structure.trigger
     groups = [(trigger.modes, 1)] + [(modes, 1) for modes in structure.positions]
     results = []
     for outcome in outcomes:
@@ -351,10 +349,11 @@ def run_full(
     three channel photons of the mixed-pass branch, which is the branch
     the recovery table addresses; the same-pass branch has no channel
     stage between fan-out and fan-in and is reported noiseless, so noise
-    needs a nonzero mixed-pass weight.  With ``sample=True`` a single
-    branch and pattern are drawn, homodyne records included, instead of
-    reporting all; the draws are those of
-    ``numpy.random.default_rng(seed)``, made without numpy.
+    needs a mixed-pass branch that passes coincidence.  With
+    ``sample=True`` a single branch and pattern are drawn, homodyne
+    records included, instead of reporting all, and a circuit where no
+    branch passes coincidence raises ``NetworkError``; the draws are those
+    of ``numpy.random.default_rng(seed)``, made without numpy.
     """
     network = (network or build_fig3()).with_overrides(weights, theta, alpha)
     structure = analyze(network)
@@ -368,7 +367,7 @@ def run_full(
         rng = Generator(seed)
     branches = branch_states(network, rng=rng)
     if errors and not any(bs.branch == "B" for bs in branches):
-        raise NetworkError("channel noise needs a nonzero mixed-pass weight")
+        raise _no_mixed_pass(network, "channel noise")
     positions = structure.positions
     fan_in = network.elements[structure.boundary :]
 
@@ -437,6 +436,10 @@ def run_full(
 def _draw_sample(entries, branches, rng) -> tuple[list[RunEntry], dict]:
     """Draw a branch by its probability, then one of its patterns by
     pattern probability; return the drawn entries and the record."""
+    if not branches:
+        raise NetworkError(
+            "no branch passes the fourfold coincidence; there is nothing to sample"
+        )
     branch_probs = [(bs.branch, bs.outcome) for bs in branches]
     r = float(rng.random())
     acc = 0.0
@@ -468,6 +471,16 @@ def _draw_sample(entries, branches, rng) -> tuple[list[RunEntry], dict]:
     return drawn, sampled
 
 
+def _no_mixed_pass(network: CircuitNetwork, needs: str) -> NetworkError:
+    """Why a run finds no mixed-pass branch for ``needs``, which acts on it."""
+    if not network.source.weights.mixed:
+        return NetworkError(f"{needs} needs a nonzero mixed-pass weight")
+    return NetworkError(
+        f"{needs} needs the mixed-pass branch, and no mixed-pass branch passes "
+        "this circuit's fourfold coincidence"
+    )
+
+
 def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict]:
     """One full run per Pauli term of a single-photon depolarizing channel
     of strength ``p``, in mixture order.
@@ -489,7 +502,7 @@ def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict
         report = run_full(errors, network=network)
         channel = [e for e in report.entries if e.branch == "B"]
         if not channel:
-            raise NetworkError("the noise sweep needs a nonzero mixed-pass weight")
+            raise _no_mixed_pass(network, "the noise sweep")
         prob = sum(e.pattern_probability for e in channel)
         noisy = apply_errors(target, errors, positions)
         rows.append(
@@ -582,7 +595,7 @@ def verify_reference_states() -> list[dict]:
         if fam.mirrored:
             continue
         state = compose(fan_in, family_state(fam, structure.positions))
-        fid = fidelity(state, evolved_family_literal(fam, structure.slots))
+        fid = fidelity(state, evolved_family_literal(fam, structure.patterns))
         checks.append(
             {
                 "name": f"family {fam.label} evolution vs literal row",
@@ -624,17 +637,18 @@ def branch_a_literal(positions: Sequence[tuple[str, str]]) -> PureState:
 
 
 def evolved_family_literal(
-    family: NoiseFamily, slots: Sequence[ChannelSlot]
+    family: NoiseFamily, patterns: Sequence[CoincidencePattern]
 ) -> PureState:
-    """The literal post-fan-in state of a base (non-mirrored) family on
-    the channel ``slots``, from the words of its correction-table rows."""
+    """The literal post-fan-in state of a base (non-mirrored) family on a
+    generator's coincidence ``patterns`` (``NetworkStructure.patterns``),
+    from the words of its correction-table rows, each row on the modes of
+    the pattern with its shape."""
     if family.mirrored:
         raise ValueError("literal rows cover the base families only")
+    modes_of = {pattern.shape: pattern.modes for pattern in patterns}
     out = PureState()
     for idx, (shape, words, _) in enumerate(_FAMILY_ROWS[family.tag]):
-        modes = tuple(
-            slot.out_t if c == "t" else slot.out_r for slot, c in zip(slots, shape)
-        )
+        modes = modes_of[shape]
         scale = 0.5 * (family.sign if idx == 1 else 1.0)
         for word in words:
             out = out + scale * ket(*zip(modes, word))

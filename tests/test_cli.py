@@ -113,6 +113,41 @@ def _empty_circuit(tmp_path):
     return str(path)
 
 
+# a well-formed circuit, found by the random-circuit strategy, in which no
+# homodyne branch passes the fourfold coincidence although every case
+# weight is nonzero
+_NO_COINCIDENCE = """\
+source pdc2 weights 0.25 0.25 0.5
+kerr a1 H 0.5
+kerr a1 V 0.5
+kerr a2 H -0.5
+kerr a2 V -0.5
+hwp90 a1
+route a2 -> m0
+hwp90 m0
+bs b1 m0 -> m1 m2
+bs m1 -> m3 m4
+pbs b2 -> m5 m6
+pbs m3 -> m7 m8
+hwp90 m8
+pbs m7 m8 -> e1 E1
+hwp90 m5
+pbs m4 m5 -> e2 E2
+hwp90 m6
+pbs a1 m6 -> e3 E3
+detect T = m2
+detect P1 = e1 E1
+detect P2 = e2 E2
+detect P3 = e3 E3
+"""
+
+
+def _no_coincidence_circuit(tmp_path):
+    path = tmp_path / "no_coincidence.onet"
+    path.write_text(_NO_COINCIDENCE, encoding="utf-8")
+    return str(path)
+
+
 # placeholders in argv for circuit files written per test
 _CIRCUIT_FILES = {
     "<two-groups>": _two_group_circuit,
@@ -130,6 +165,7 @@ _CIRCUIT_FILES = {
     # a coupling on a fan-out mode, which no emission ket occupies
     "<kerr-off-source>": _edited_fig3("bs va1 -> u1 u2\n", "bs va1 -> u1 u2\nkerr u1 H 5\n"),
     "<same-pass-only>": _edited_fig3("weights 0.25 0.25 0.5", "weights 0 1 0"),
+    "<no-coincidence>": _no_coincidence_circuit,
 }
 
 
@@ -171,6 +207,9 @@ _CIRCUIT_FILES = {
         (("analyze-entanglement", "--network", "<same-pass-only>"), "needs both branches"),
         (("run", "--theta", "nan", "--noise", "Q@1"), "theta must be finite"),
         (("sweep-noise", "--alpha", "-1", "--noise", "X@1"), "alpha must be finite"),
+        (("run", "--network", "<no-coincidence>", "--sample"), "nothing to sample"),
+        (("run", "--network", "<no-coincidence>", "--noise", "X@1"), "no mixed-pass branch passes"),
+        (("sweep-noise", "--network", "<no-coincidence>"), "no mixed-pass branch passes"),
     ],
     ids=[
         "noise-on-source-style",
@@ -208,6 +247,9 @@ _CIRCUIT_FILES = {
         "entanglement-circuit-without-branch-b",
         "override-checked-before-noise",
         "sweep-override-checked-before-noise",
+        "sample-without-coincidence",
+        "noise-without-coincident-mixed-pass",
+        "sweep-without-coincident-mixed-pass",
     ],
 )
 def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
@@ -217,6 +259,15 @@ def test_run_domain_error_is_usage_error(capsys, tmp_path, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+def test_circuit_without_coincidence_reports_no_branch(capsys, tmp_path):
+    # an unsampled report of such a circuit is empty, not an error
+    circuit = _no_coincidence_circuit(tmp_path)
+    code, report = _run_json(capsys, "run", "--network", circuit)
+    assert code == 0 and report["entries"] == []
+    code, dump = _run_json(capsys, "dump", "--network", circuit)
+    assert code == 0 and dump["branches"] == []
 
 
 @pytest.mark.parametrize("command", ["run", "dump", "analyze-entanglement", "sweep-noise"])
@@ -508,7 +559,8 @@ def test_renamed_fig3_runs_like_fig3(fresh):
     # detector names: renaming them changes only the names in the output
     rename = dict(zip(_FIG3_NAMES, fresh))
     # output names that run together into one pattern label are refused
-    outputs = [(rename[s.out_t], rename[s.out_r]) for s in analyze(_FIG3).slots]
+    patterns = analyze(_FIG3).patterns
+    outputs = [(rename[t], rename[r]) for t, r in zip(patterns[0].modes, patterns[-1].modes)]
     assume(len({"".join(modes) for modes in itertools.product(*outputs)}) == 8)
     lines = [
         line if line.startswith("#") else " ".join(rename.get(t, t) for t in line.split())

@@ -30,12 +30,10 @@ from ghzgen.dsl import builtin_text
 
 
 def test_detector_lookup_and_trigger():
-    net = build_ghzps()
-    assert net.trigger is not None
-    assert net.trigger.modes == ("T1", "T2")
-    assert net.detector("P2").modes == ("D2", "d2")
-    assert net.detector("missing") is None
-    assert [g.name for g in net.photon_groups] == ["P1", "P2", "P3"]
+    structure = analyze(build_ghzps())
+    assert structure.trigger == DetectorGroup("T", ("T1", "T2"))
+    assert structure.positions[1] == ("D2", "d2")
+    assert len(structure.positions) == 3
 
 
 def test_with_settings_is_nondestructive():
@@ -55,7 +53,7 @@ def test_source_spec_rejects_unknown_kind():
 def test_fanout_network_is_source_style():
     structure = analyze(build_ghzps())
     assert structure.style == "source"
-    assert structure.slots == ()
+    assert structure.patterns == ()
     assert structure.boundary == len(build_ghzps().elements)
 
 
@@ -63,16 +61,10 @@ def test_generator_network_structure():
     net = build_fig3()
     structure = analyze(net)
     assert structure.style == "generator"
-    assert [slot.pair for slot in structure.slots] == [
-        ("d1", "D1"),
-        ("d2", "D2"),
-        ("d3", "D3"),
-    ]
-    assert [(slot.out_t, slot.out_r) for slot in structure.slots] == [
-        ("e1", "E1"),
-        ("e2", "E2"),
-        ("e3", "E3"),
-    ]
+    assert structure.positions == (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
+    # transmitted outputs fire in the first pattern, reflected in the last
+    assert structure.patterns[0].modes == ("e1", "e2", "e3")
+    assert structure.patterns[-1].modes == ("E1", "E2", "E3")
     # fan-in starts right after the shared fan-out chain
     assert structure.boundary == len(build_ghzps().elements)
     fan_in = net.elements[structure.boundary :]
@@ -98,7 +90,7 @@ def _toy_generator(merge=make_pbs):
 def test_analysis_follows_wiring_not_names():
     structure = analyze(_toy_generator())
     assert structure.style == "generator"
-    assert structure.slots[0].pair == ("lo1", "hi1")
+    assert structure.positions[0] == ("lo1", "hi1")
     assert structure.boundary == 0
 
 
@@ -147,7 +139,13 @@ def test_positions_by_style():
     generator = analyze(build_fig3())
     assert generator.style == "generator"
     assert generator.positions == (("d1", "D1"), ("d2", "D2"), ("d3", "D3"))
-    assert generator.positions == tuple(slot.pair for slot in generator.slots)
+
+
+def test_structure_holds_roles_and_derives_style():
+    structure = analyze(build_fig3())
+    assert structure._fields == ("trigger", "boundary", "positions", "patterns")
+    assert structure.style == "generator"
+    assert structure._replace(patterns=()).style == "source"
 
 
 def test_analyze_runs_once_per_wiring(monkeypatch):
@@ -181,7 +179,7 @@ def test_analyze_runs_once_per_wiring(monkeypatch):
 def test_generator_patterns_in_shape_order():
     patterns = analyze(build_fig3()).patterns
     assert [p.shape for p in patterns] == [
-        tuple(s) for s in ("ttt", "ttr", "trt", "trr", "rtt", "rtr", "rrt", "rrr")
+        "ttt", "ttr", "trt", "trr", "rtt", "rtr", "rrt", "rrr"
     ]
     ttr = patterns[1]
     assert ttr.label == "e1e2E3"

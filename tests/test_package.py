@@ -1,12 +1,15 @@
 """The package namespace (``__all__`` and the imports in ``__init__``),
 the data files the wheel ships, where the package imports numpy, what
 elaborating a circuit leaves for ``apply`` to do, the bound on every
-argument cache, and the names the benchmark tracer wraps."""
+argument cache, the names the benchmark tracer wraps, and the bytes of the
+benchmark's library requests."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import itertools
 import pkgutil
 import types
 from pathlib import Path
@@ -139,14 +142,19 @@ def test_every_argument_cache_is_bounded():
     assert unbounded == []
 
 
+def _benchmark_module(name: str) -> types.ModuleType:
+    """``benchmarks/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracer_targets() -> list:
     """The ``(module, attribute)`` pairs of ``benchmarks/tracer.py``'s
     ``TARGETS``."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return [(module, attr) for _, module, attr, _ in tracer.TARGETS]
+    return [(module, attr) for _, module, attr, _ in _benchmark_module("tracer").TARGETS]
 
 
 def test_every_tracer_target_resolves():
@@ -162,3 +170,21 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_library_output_is_bit_exact():
+    # the first 240 library-varied requests (seed 3), run against the
+    # fixture networks as the benchmark loads them, serialize to the same
+    # bytes as ever: any change to a number or a state shows here
+    workloads = _benchmark_module("workloads")
+    networks = {
+        name: elaborate(parse(builtin_text(name)), name=name) for name in ("fig1", "fig3")
+    }
+    requests = itertools.chain.from_iterable(workloads.rounds("library-varied", 3))
+    digest = hashlib.sha256()
+    for kind, params in itertools.islice(requests, 240):
+        result = workloads.call_library(ghzgen, networks, kind, params)
+        digest.update(workloads.canonical_library_output(result))
+    assert digest.hexdigest() == (
+        "a55699c205702b21316061336fb4a64c05f57b8007a08b0cee5c5c87eb87c272"
+    )

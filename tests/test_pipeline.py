@@ -42,10 +42,6 @@ from ghzgen.source import MIN_CASE_WEIGHT
 TOL = 1e-12
 
 
-def _fig3_slots():
-    return analyze(build_fig3()).slots
-
-
 def _fig3_patterns():
     return analyze(build_fig3()).patterns
 
@@ -165,7 +161,7 @@ def test_postselect_splits_patterns():
     assert set(by_label) == {"e1e2E3", "E1E2e3"}
 
     pattern, cond, p = by_label["e1e2E3"]
-    assert pattern.shape == ("t", "t", "r")
+    assert pattern.shape == "ttr"
     assert p == pytest.approx(0.25, abs=TOL)
     assert cond.norm() == pytest.approx(1.0, abs=TOL)
     assert fidelity(cond, hhv) == pytest.approx(1.0, abs=TOL)
@@ -185,19 +181,19 @@ def test_postselect_empty_for_non_coincident_state():
 
 
 def _pattern(shape):
-    return next(p for p in _fig3_patterns() if p.shape == tuple(shape))
+    return next(p for p in _fig3_patterns() if p.shape == shape)
 
 
 def test_lookup_correction_base_rows():
     expected = {
-        ("psi", ("t", "t", "r")): ("I", "I", "X"),
-        ("psi", ("r", "r", "t")): ("I", "X", "I"),
-        ("psi0", ("t", "t", "t")): ("I", "I", "I"),
-        ("psi0", ("r", "r", "r")): ("X", "I", "I"),
-        ("psi1", ("r", "t", "t")): ("X", "I", "I"),
-        ("psi1", ("t", "r", "r")): ("I", "I", "I"),
-        ("psi2", ("t", "r", "t")): ("I", "X", "I"),
-        ("psi2", ("r", "t", "r")): ("I", "I", "X"),
+        ("psi", "ttr"): ("I", "I", "X"),
+        ("psi", "rrt"): ("I", "X", "I"),
+        ("psi0", "ttt"): ("I", "I", "I"),
+        ("psi0", "rrr"): ("X", "I", "I"),
+        ("psi1", "rtt"): ("X", "I", "I"),
+        ("psi1", "trr"): ("I", "I", "I"),
+        ("psi2", "trt"): ("I", "X", "I"),
+        ("psi2", "rtr"): ("I", "I", "X"),
     }
     for (tag, shape), ops in expected.items():
         for sign in (1, -1):
@@ -301,7 +297,7 @@ def test_run_full_recovers_from_channel_noise(spec, family, shapes):
     report = run_full(spec)
     b_entries = [e for e in report.entries if e.branch == "B"]
     assert len(b_entries) == 2
-    assert {e.pattern.shape for e in b_entries} == {tuple(s) for s in shapes}
+    assert {e.pattern.shape for e in b_entries} == set(shapes)
     for entry in b_entries:
         assert entry.family == family
         assert entry.fidelity == pytest.approx(1.0, abs=TOL)
@@ -450,11 +446,11 @@ def test_evolved_family_literals_match_engine():
         state = family_state(fam, positions)
         for element in fan_in:
             state = element.apply(state)
-        literal = evolved_family_literal(fam, _fig3_slots())
+        literal = evolved_family_literal(fam, _fig3_patterns())
         assert literal.norm() == pytest.approx(1.0, abs=TOL)
         assert fidelity(state, literal) == pytest.approx(1.0, abs=TOL), fam.label
     with pytest.raises(ValueError):
-        evolved_family_literal(NoiseFamily("psi", 1, mirrored=True), _fig3_slots())
+        evolved_family_literal(NoiseFamily("psi", 1, mirrored=True), _fig3_patterns())
 
 
 def test_entanglement_report_branch_structure():

@@ -5,10 +5,10 @@
 trigger and three two-mode photon groups, and sometimes a half-wave flip
 plus resolving PBS merge in front of each group, so that both network
 styles occur.  Most such circuits are miswired for the protocol; the
-properties are that the CLI never raises, that it refuses with exactly one
-``error:`` line, and that a run on fresh element objects reads the same
-bytes as a run on the interned ones, whose ``apply`` plans earlier
-examples built.
+properties are that the CLI never raises, that every command exits with
+one of its codes and refuses with exactly one ``error:`` line, and that a
+run on fresh element objects reads the same bytes as a run on the
+interned ones, whose ``apply`` plans earlier examples built.
 """
 
 import contextlib
@@ -79,6 +79,16 @@ def circuits(draw):
     return "\n".join(lines) + "\n"
 
 
+# each command with the exit codes it may give on a well-formed circuit
+_COMMANDS = (
+    (("run",), (0, 2)),
+    (("run", "--sample", "--seed", "3"), (0, 2)),
+    (("dump",), (0, 2)),
+    (("sweep-noise",), (0, 2)),
+    (("analyze-entanglement",), (0, 1, 2)),
+)
+
+
 def _canonical(report) -> bytes:
     """The report's every number and state, bit for bit, as bytes."""
     entries = [
@@ -118,11 +128,15 @@ def test_random_circuits_round_trip_refuse_cleanly_and_replay_bit_for_bit(
 
     path = tmp_path_factory.getbasetemp() / "random.onet"
     path.write_text(text, encoding="utf-8")
-    for command in ("run", "dump", "sweep-noise"):
-        code, err = _main(command, "--network", str(path))
-        assert code in (0, 2), (command, code, err)
+    for command, exits in _COMMANDS:
+        code, err = _main(*command, "--network", str(path))
+        assert code in exits, (command, code, err)
         if code == 2:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (command, err)
+            # every generated circuit declares a mixed-pass weight of 0.5
+            assert "mixed-pass weight" not in err, (command, err)
+        else:
+            assert err == "", (command, err)
 
     network = elaborate(doc, name="random")
     try:

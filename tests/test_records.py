@@ -42,9 +42,8 @@ def _records():
         "NoiseFamily": (NoiseFamily("psi1", -1, mirrored=True), "sign"),
         "KerrCoupling": (KerrCoupling("a1", "H", 0.5), "units"),
         "QndOutcome": (outcome, "tag_signs"),
-        "DetectorGroup": (network.trigger, "modes"),
+        "DetectorGroup": (structure.trigger, "modes"),
         "CircuitNetwork": (network, "settings"),
-        "ChannelSlot": (structure.slots[0], "lower"),
         "NetworkStructure": (structure, "boundary"),
         "Statement": (document.statements[0], "line"),
         "DslDocument": (document, "statements"),
