@@ -18,7 +18,8 @@ patterns read alike, a non-finite, negative or overflowing probe
 setting, noise on a source-style network, noise or a sweep with no
 mixed-pass branch, whether its weight is zero or no mixed-pass branch
 passes the fourfold coincidence, a sampled run in which no branch passes
-it, or an entanglement check whose case weights empty a branch).
+it, an entanglement check whose case weights empty a branch, or a
+circuit whose state would outgrow ``states.MAX_KETS`` kets).
 The ``--weights``, ``--theta`` and ``--alpha`` flags override the
 circuit's own values, the same way for every command that takes them,
 and are checked with the circuit, before any other flag.  JSON output
@@ -40,6 +41,7 @@ from .pipeline import (
     RunReport,
     branch_states,
     entanglement_report,
+    passing,
     run_full,
     sweep_noise,
     verify_correction_table,
@@ -292,7 +294,7 @@ def cmd_parse(flags: dict) -> int:
 def cmd_dump(flags: dict) -> int:
     network = _load_network(flags, default_builtin="fig1")
     rows = []
-    for bs in branch_states(network):
+    for bs in passing(branch_states(network)):
         rows.append(
             {
                 "branch": bs.branch,

@@ -183,9 +183,10 @@ def apply_corrections(
 class BranchState(NamedTuple):
     """One homodyne branch carried to the channel boundary.
 
-    ``conditional`` is normalized, trigger heralded away, supported on the
-    channel (or detector-arm) modes; ``coincidence_probability`` is the
-    chance the branch passes fourfold coincidence.
+    ``coincidence_probability`` is the chance the branch passes fourfold
+    coincidence.  When it does, ``conditional`` is normalized, trigger
+    heralded away, supported on the channel (or detector-arm) modes; a
+    branch that never passes has probability 0.0 and the zero state.
     """
 
     outcome: QndOutcome
@@ -205,7 +206,9 @@ def branch_states(
     network: CircuitNetwork, rng: Generator | np.random.Generator | None = None
 ) -> list[BranchState]:
     """Emission through fan-out, fourfold coincidence and the trigger herald,
-    per branch.
+    per homodyne outcome, in ``homodyne_discriminate`` order; an outcome
+    that never passes coincidence is kept with probability 0.0 (see
+    ``passing``).
 
     ``rng``, a generator with numpy's ``.normal``/``.random``, samples the
     homodyne records (see ``homodyne_discriminate``)."""
@@ -225,16 +228,19 @@ def branch_states(
     for outcome in outcomes:
         state = compose(fan_out, feed_forward(outcome))
         conditional, prob = project_occupancy(state, groups)
-        if prob == 0.0:
-            continue
+        if prob != 0.0:
+            conditional = _herald(conditional, trigger)
         results.append(
             BranchState(
-                outcome=outcome,
-                conditional=_herald(conditional, trigger),
-                coincidence_probability=prob,
+                outcome=outcome, conditional=conditional, coincidence_probability=prob
             )
         )
     return results
+
+
+def passing(branches: Sequence[BranchState]) -> list[BranchState]:
+    """The ``branches`` that pass fourfold coincidence, in order."""
+    return [bs for bs in branches if bs.coincidence_probability != 0.0]
 
 
 def _herald(state: PureState, trigger: DetectorGroup) -> PureState:
@@ -307,7 +313,7 @@ def entanglement_report(
             bs.joint_probability,
             entanglement_summary(bs.conditional, structure.positions),
         )
-        for bs in branch_states(network)
+        for bs in passing(branch_states(network))
     ]
 
 
@@ -350,10 +356,12 @@ def run_full(
     the recovery table addresses; the same-pass branch has no channel
     stage between fan-out and fan-in and is reported noiseless, so noise
     needs a mixed-pass branch that passes coincidence.  With
-    ``sample=True`` a single branch and pattern are drawn, homodyne
-    records included, instead of reporting all, and a circuit where no
-    branch passes coincidence raises ``NetworkError``; the draws are those
-    of ``numpy.random.default_rng(seed)``, made without numpy.
+    ``sample=True`` a single homodyne outcome, drawn over all of them,
+    and one of its patterns are reported, homodyne records included,
+    instead of all (an outcome that fails coincidence has no entry), and
+    a circuit where no branch passes coincidence raises ``NetworkError``;
+    the draws are those of ``numpy.random.default_rng(seed)``, made
+    without numpy.
     """
     network = (network or build_fig3()).with_overrides(weights, theta, alpha)
     structure = analyze(network)
@@ -365,7 +373,8 @@ def run_full(
         from ._rng import Generator
 
         rng = Generator(seed)
-    branches = branch_states(network, rng=rng)
+    outcomes = branch_states(network, rng=rng)
+    branches = passing(outcomes)
     if errors and not any(bs.branch == "B" for bs in branches):
         raise _no_mixed_pass(network, "channel noise")
     positions = structure.positions
@@ -417,7 +426,7 @@ def run_full(
 
     sampled = None
     if sample and rng is not None:
-        entries, sampled = _draw_sample(entries, branches, rng)
+        entries, sampled = _draw_sample(entries, outcomes, rng)
 
     return RunReport(
         network=network.name,
@@ -433,41 +442,39 @@ def run_full(
     )
 
 
-def _draw_sample(entries, branches, rng) -> tuple[list[RunEntry], dict]:
-    """Draw a branch by its probability, then one of its patterns by
-    pattern probability; return the drawn entries and the record."""
-    if not branches:
+def _draw_sample(entries, outcomes, rng) -> tuple[list[RunEntry], dict]:
+    """Draw a homodyne outcome by its probability, over every outcome of
+    ``branch_states``, then one of its patterns by pattern probability;
+    return the drawn entries and the record.  An outcome that fails
+    coincidence has no entries, so its draw returns none and a record
+    without a pattern."""
+    if not passing(outcomes):
         raise NetworkError(
             "no branch passes the fourfold coincidence; there is nothing to sample"
         )
-    branch_probs = [(bs.branch, bs.outcome) for bs in branches]
     r = float(rng.random())
     acc = 0.0
-    chosen_branch, chosen_outcome = branch_probs[-1]
-    for branch, outcome in branch_probs:
-        acc += outcome.probability
+    chosen = outcomes[-1].outcome
+    for bs in outcomes:
+        acc += bs.outcome.probability
         if r < acc:
-            chosen_branch, chosen_outcome = branch, outcome
+            chosen = bs.outcome
             break
-    drawn = [e for e in entries if e.branch == chosen_branch]
+    drawn = [e for e in entries if e.branch == chosen.branch]
     candidates = [e for e in drawn if e.pattern is not None]
-    sampled: dict = {
-        "branch": chosen_branch,
-        "x": chosen_outcome.x,
-        "phi": chosen_outcome.phi,
-    }
+    sampled: dict = {"branch": chosen.branch, "x": chosen.x, "phi": chosen.phi}
     if candidates:
         total = sum(e.pattern_probability for e in candidates)
         r = float(rng.random()) * total
         acc = 0.0
-        chosen = candidates[-1]
+        entry = candidates[-1]
         for e in candidates:
             acc += e.pattern_probability
             if r < acc:
-                chosen = e
+                entry = e
                 break
-        sampled["pattern"] = chosen.pattern.label
-        drawn = [chosen]
+        sampled["pattern"] = entry.pattern.label
+        drawn = [entry]
     return drawn, sampled
 
 

@@ -21,7 +21,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .states import FockKet, PureState, Rail
+from .states import FockKet, NetworkError, PureState, Rail
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,17 +33,6 @@ DEFAULT_ALPHA = math.sqrt(1e5)
 
 # how far a ket's tag may sit from the classes -1, 0, 1 (units of theta)
 _TAG_TOL = 1e-9
-
-
-class NetworkError(ValueError):
-    """A network or its settings cannot serve the requested run: a wrong
-    detector structure, a miswired fan-out, Kerr couplings that tag a ket
-    outside the protocol classes, a non-finite, negative or overflowing
-    probe setting, or an operation the network's style or weights do not
-    support.  Bad input, not an engine fault.  It lives here rather than
-    in ``network``, which imports this module, so that branch
-    discrimination and noise classification can raise it; ``network``
-    re-exports it."""
 
 
 class KerrCoupling(NamedTuple):

@@ -10,12 +10,15 @@ Conventions:
   * kets are normalized occupation-number states, |n> = (a†)^n / sqrt(n!) |0>
   * amplitudes with magnitude below ``PRUNE_TOL`` are dropped after every
     arithmetic operation, so zero really means zero
-  * ``ModeTransform.apply`` builds a plan on the first sight of each input
-    ket and replays it on every later call: the same floating-point
-    operations, in the same order, so a replay is bit-identical to a first
-    sight.  Plans are per distinct element (the ``elements`` constructors
-    intern) and grow with the distinct kets it meets, not with the calls;
-    ``PRUNE_TOL`` pruning stays outside the plans, in ``PureState._pruned``
+  * ``ModeTransform.apply`` builds a stage on the first sight of each
+    input ket order, from one plan per distinct input ket, and replays it
+    on every later call: the same floating-point operations, in the same
+    order, so a replay is bit-identical to a first sight.  Plans and
+    stages are per distinct element (the ``elements`` constructors
+    intern); plans grow with the distinct kets it meets, stages are kept
+    for at most ``STAGE_CACHE_SIZE`` orders, and a stage wider than
+    ``MAX_KETS`` is refused.  ``PRUNE_TOL`` pruning stays outside both, in
+    ``PureState._pruned``
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
@@ -28,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
 from typing import NamedTuple
 
 H = "H"
@@ -37,6 +41,27 @@ POLARIZATIONS = (H, V)
 PRUNE_TOL = 1e-12
 ISOMETRY_TOL = 1e-9
 SCHMIDT_TOL = 1e-10
+
+# the most kets a state may hold after one element; the builtin circuits
+# never exceed 40, while a deep tree of splitters grows past any memory
+MAX_KETS = 1 << 16
+# input ket orders whose stage one element keeps; the builtin circuits
+# meet at most 9 per element
+STAGE_CACHE_SIZE = 32
+# (ket order, groups) keep-masks that ``project_occupancy`` keeps; runs
+# of the builtin circuits meet 74
+MASK_CACHE_SIZE = 256
+
+
+class NetworkError(ValueError):
+    """A network or its settings cannot serve the requested run: a wrong
+    detector structure, a miswired fan-out, Kerr couplings that tag a ket
+    outside the protocol classes, a non-finite, negative or overflowing
+    probe setting, a state that outgrows ``MAX_KETS``, or an operation the
+    network's style or weights do not support.  Bad input, not an engine
+    fault.  It lives here, at the bottom of the import graph, so that
+    element application, branch discrimination and noise classification
+    can all raise it; ``qnd`` and ``network`` re-export it."""
 
 
 class Rail(NamedTuple):
@@ -152,12 +177,12 @@ class PureState:
         self._terms = {k: a for k, a in acc.items() if abs(a) > PRUNE_TOL}
 
     @classmethod
-    def _pruned(cls, acc: dict[FockKet, complex]) -> "PureState":
-        """State from amplitudes already summed onto ``0j`` per ket, as the
-        public constructor sums them; only the pruning is left to do.  For
-        engine internals only."""
+    def _pruned(cls, items: Iterable[tuple[FockKet, complex]]) -> "PureState":
+        """State from distinct ``(ket, amplitude)`` pairs whose amplitudes
+        are already summed onto ``0j``, as the public constructor sums
+        them; only the pruning is left to do.  For engine internals only."""
         state = object.__new__(cls)
-        state._terms = {k: a for k, a in acc.items() if abs(a) > PRUNE_TOL}
+        state._terms = {k: a for k, a in items if abs(a) > PRUNE_TOL}
         return state
 
     @property
@@ -322,9 +347,9 @@ class ModeTransform:
     rectangular ones model elements with an unused vacuum port.
 
     The matrix is kept as ``rows``, a tuple of rows of Python complex
-    numbers.  Instances are immutable and hashable.  The plans ``apply``
-    stores are a cache: equality, hashing and pickling ignore them, and an
-    unpickled instance starts with none.
+    numbers.  Instances are immutable and hashable.  The plans and stages
+    ``apply`` stores are a cache: equality, hashing and pickling ignore
+    them, and an unpickled instance starts with none.
     """
 
     __slots__ = (
@@ -337,6 +362,7 @@ class ModeTransform:
         "_columns",
         "_plans",
         "_patterns",
+        "_stages",
     )
 
     def __init__(
@@ -385,9 +411,11 @@ class ModeTransform:
             "_columns",
             tuple(tuple((i, u) for i, u in enumerate(c) if u != 0) for c in columns),
         )
-        # filled by apply: per input ket, and per input count pattern
+        # filled by apply: per input ket, per input count pattern, and per
+        # input ket order
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_patterns", {})
+        object.__setattr__(self, "_stages", {})
 
     def __setattr__(self, attr, *_):
         raise AttributeError(f"ModeTransform is immutable; cannot set {attr!r}")
@@ -428,29 +456,88 @@ class ModeTransform:
         reproducible, not merely close.
 
         Which operations those are depends on the input ket alone, never on
-        its amplitude.  So the first sight of a ket builds its plan
-        (``_plan``), and this and every later call replay it: each slot
-        of a layer starts at 0j and adds its steps in order, and the last
-        layer's slots are summed onto their output kets.  The plans of one
-        element grow with the distinct kets it meets, not with the number
-        of calls.  Amplitudes under ``PRUNE_TOL`` are dropped afterwards,
-        by ``PureState._pruned``, never inside a plan."""
+        its amplitude, and which output kets they reach, in which order,
+        on the input ket order alone.  So the first sight of an order
+        builds its stage (``_stage``) from the kets' plans (``_plan``),
+        and this and every later call on that order replay it in three
+        passes over one buffer of complex slots, all starting at 0j: each
+        ket's amplitude is divided into its own slot; the op layers of
+        every ket run in ket order, each step adding ``src * u * sq`` onto
+        its destination slot; and each ket's last-layer slots are summed,
+        in ket order, onto the output slots.  Those are numbered in
+        first-appearance order, so the result's ket order is the one a
+        dict keyed on the output kets would give.  Amplitudes under
+        ``PRUNE_TOL`` are dropped afterwards, by ``PureState._pruned``,
+        never inside a stage.
+
+        An order whose stage would reach more than ``MAX_KETS`` output
+        kets raises ``NetworkError`` naming this element, before any
+        arithmetic."""
+        terms = state._terms
+        order = tuple(terms)
+        stage = self._stages.get(order)
+        if stage is None:
+            stage = self._stage(order)
+        size, width, divs, ops, sums, outs = stage
+        buf = [0j] * size
+        buf[width : width + len(divs)] = [a / d for a, d in zip(terms.values(), divs)]
+        for dst, src, u, sq in ops:
+            buf[dst] = buf[dst] + buf[src] * u * sq
+        for dst, src in sums:
+            buf[dst] = buf[dst] + buf[src]
+        return PureState._pruned(zip(outs, buf))
+
+    def _stage(self, order: tuple[FockKet, ...]) -> tuple:
+        """Build, store and return the stage of the input ket ``order``.
+
+        Its buffer holds the output slots first, one per output ket in
+        first-appearance order, then one input slot per ket of ``order``,
+        then the slots of every ket's op layers.  The stage is ``(size,
+        width, divs, ops, sums, outs)``: the buffer size, the number of
+        output slots, each ket's divisor, the ``(dst, src, u, sq)`` steps
+        of all op layers renumbered into the buffer, the ``(output slot,
+        last-layer slot)`` sums, and the output kets.  A collision
+        (``_plan``) or an output past ``MAX_KETS`` raises and stores no
+        stage; when ``STAGE_CACHE_SIZE`` stages are kept, the oldest is
+        dropped."""
         plans = self._plans
-        acc: dict[FockKet, complex] = {}
-        for k, amp in state._terms.items():
+        index: dict[FockKet, int] = {}
+        kets = []
+        for k in order:
             plan = plans.get(k)
             if plan is None:
                 plan = self._plan(k)
             div, layers, outs = plan
-            vals = [amp / div]
-            for width, ops in layers:
-                nxt = [0j] * width
-                for dst, src, u, sq in ops:
-                    nxt[dst] = nxt[dst] + vals[src] * u * sq
-                vals = nxt
-            for out_ket, c in zip(outs or (k,), vals):
-                acc[out_ket] = acc.get(out_ket, 0j) + c
-        return PureState._pruned(acc)
+            slots = [index.setdefault(o, len(index)) for o in outs or (k,)]
+            if len(index) > MAX_KETS:
+                raise NetworkError(
+                    f"{self.name}: the state would hold more than {MAX_KETS} "
+                    "kets after this element"
+                )
+            kets.append((div, layers, slots))
+        width = len(index)
+        size = width + len(kets)
+        ops: list[tuple] = []
+        sums: list[tuple[int, int]] = []
+        for i, (_, layers, slots) in enumerate(kets):
+            base = width + i
+            for w, steps in layers:
+                ops += [(size + dst, base + src, u, sq) for dst, src, u, sq in steps]
+                base = size
+                size += w
+            sums += zip(slots, range(base, base + len(slots)))
+        stages = self._stages
+        if len(stages) >= STAGE_CACHE_SIZE:
+            del stages[next(iter(stages))]
+        stage = stages[order] = (
+            size,
+            width,
+            tuple([div for div, _, _ in kets]),
+            tuple(ops),
+            tuple(sums),
+            tuple(index),
+        )
+        return stage
 
     def _plan(self, k: FockKet) -> tuple:
         """Build, store and return the plan of ket ``k``: the divisor, the
@@ -547,12 +634,15 @@ def project_occupancy(
 ) -> tuple[PureState, float]:
     """Project onto kets holding exactly ``count`` photons in each group of
     spatial modes.  Returns (normalized conditional state, probability);
-    probability is relative to the squared norm of the input."""
-    resolved = [(frozenset(modes), int(count)) for modes, count in groups]
-    kept: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
-        if all(k.count_in_modes(modes) == count for modes, count in resolved):
-            kept[k] = amp
+    probability is relative to the squared norm of the input.
+
+    Which kets pass depends on the ket order and the groups alone, so the
+    selection is memoized on both (``_keep_mask``); the amplitudes are
+    read on every call."""
+    resolved = tuple((frozenset(modes), int(count)) for modes, count in groups)
+    terms = state._terms
+    mask = _keep_mask(tuple(terms), resolved)
+    kept = {k: amp for keep, (k, amp) in zip(mask, terms.items()) if keep}
     total = state.norm() ** 2
     if total == 0.0:
         return PureState(), 0.0
@@ -561,6 +651,17 @@ def project_occupancy(
     if projected.is_zero():
         return projected, 0.0
     return projected.normalized(), prob
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _keep_mask(
+    kets: tuple[FockKet, ...], groups: tuple[tuple[frozenset[str], int], ...]
+) -> tuple[bool, ...]:
+    """Per ket of ``kets``, whether it holds exactly ``count`` photons in
+    each ``(modes, count)`` group."""
+    return tuple(
+        [all(k.count_in_modes(modes) == count for modes, count in groups) for k in kets]
+    )
 
 
 # --- polarization-versus-path entanglement -------------------------------

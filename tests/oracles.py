@@ -371,3 +371,27 @@ def reference_apply(transform, state):
             out_ket = FockKet(entries)
             acc[out_ket] = acc.get(out_ket, 0j) + c
     return PureState(acc)
+
+
+# --- reference for project_occupancy's memoized selection -----------------
+
+
+def reference_project_occupancy(state, groups):
+    """The engine's earlier ``project_occupancy``, verbatim: it scans every
+    ket's counts on every call.  The memoized selection must return
+    exactly this state, in this ket order, and this probability."""
+    from ghzgen.states import PureState
+
+    resolved = [(frozenset(modes), int(count)) for modes, count in groups]
+    kept = {}
+    for k, amp in state.terms.items():
+        if all(k.count_in_modes(modes) == count for modes, count in resolved):
+            kept[k] = amp
+    total = state.norm() ** 2
+    if total == 0.0:
+        return PureState(), 0.0
+    projected = PureState(kept)
+    prob = projected.norm() ** 2 / total
+    if projected.is_zero():
+        return projected, 0.0
+    return projected.normalized(), prob

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,19 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ghzgen import DEFAULT_ALPHA, DEFAULT_THETA, analyze, cli, elaborate, parse
+from ghzgen import (
+    DEFAULT_ALPHA,
+    DEFAULT_THETA,
+    analyze,
+    cli,
+    elaborate,
+    make_bs,
+    make_hwp45,
+    make_hwp90,
+    make_pbs,
+    make_route,
+    parse,
+)
 from ghzgen.dsl import builtin_text
 from ghzgen.network import TRIGGER_GROUP
 from ghzgen.source import LOWER_ARM, UPPER_ARM
@@ -784,3 +797,73 @@ def test_golden_stdout(capsys, argv):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# --- the ket budget ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "dump", "sweep-noise"])
+def test_cli_refuses_a_circuit_past_the_ket_budget(monkeypatch, capsys, command):
+    # fresh elements, so that no stage built under the real budget is hit;
+    # fig3's fan-out holds up to 40 kets after one element
+    for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
+        make.cache_clear()
+    monkeypatch.setattr("ghzgen.states.MAX_KETS", 16)
+    code, out, err = _run(capsys, command, "--builtin", "fig3")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(
+        r"error: \w+\(\S+\): the state would hold more than 16 kets after this element\n", err
+    )
+
+
+def _splitter_tree(depth: int) -> str:
+    """Each source arm fanned through a depth-``depth`` tree of one-input
+    50:50 splitters, the trigger on one leaf and three resolving merges
+    on pairs of leaves: a well-formed generator-style circuit whose state
+    grows past any budget with depth."""
+    lines = [l for l in builtin_text("fig3").splitlines() if l.startswith(("source ", "kerr "))]
+    leaves = {}
+    for arm in ("a1", "b1", "a2", "b2"):
+        level = [arm]
+        for d in range(depth):
+            outs = []
+            for mode in level:
+                left, right = f"{mode}_{d}l", f"{mode}_{d}r"
+                lines.append(f"bs {mode} -> {left} {right}")
+                outs += [left, right]
+            level = outs
+        leaves[arm] = level
+    lines.append(f"detect {TRIGGER_GROUP} = {leaves['a1'][0]}")
+    for i, arm in enumerate(("b1", "a2", "b2"), start=1):
+        lower, upper = leaves[arm][:2]
+        lines += [f"hwp90 {upper}", f"pbs {lower} {upper} -> e{i} E{i}", f"detect P{i} = e{i} E{i}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_refuses_a_deep_splitter_tree_quickly_and_in_bounded_memory(tmp_path):
+    # at depth 5 the unbounded state would reach 1.7 M kets and 3 GB; the
+    # budget stops each command within seconds, in a fresh interpreter
+    # whose peak resident size is read back
+    path = tmp_path / "tree5.onet"
+    path.write_text(_splitter_tree(5), encoding="utf-8")
+    code = (
+        "import contextlib, io, json, resource, sys\n"
+        "import ghzgen.cli as cli\n"
+        "rows = []\n"
+        "for command in ('run', 'dump', 'sweep-noise'):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"        rows.append((cli.main([command, '--network', {str(path)!r}]), err.getvalue()))\n"
+        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps({'rows': rows, 'rss_mb': rss_mb}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    result = json.loads(done.stdout)
+    for exit_code, err in result["rows"]:
+        assert exit_code == 2
+        assert re.fullmatch(r"error: bs\(\S+\): the state would hold more than 65536 kets .*\n", err)
+    assert result["rss_mb"] < 512

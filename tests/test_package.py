@@ -111,13 +111,14 @@ def test_no_fixture_names_in_the_package():
 @pytest.mark.parametrize("name", BUILTINS)
 def test_elaborate_builds_no_apply_plans(name):
     # a CLI start elaborates the builtin circuits before any state exists;
-    # plans are built inside apply only, on the first sight of a ket.  The
-    # constructors intern, so earlier tests' elements are dropped first
+    # plans and stages are built inside apply only, on the first sight of
+    # a ket or a ket order.  The constructors intern, so earlier tests'
+    # elements are dropped first
     for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
         make.cache_clear()
     network = elaborate(parse(builtin_text(name)), name=name)
     assert network.elements
-    assert all(not e._plans and not e._patterns for e in network.elements)
+    assert all(not (e._plans or e._patterns or e._stages) for e in network.elements)
 
 
 def test_every_argument_cache_is_bounded():

@@ -394,6 +394,37 @@ def test_run_full_sampling_covers_both_branches():
     assert seen == {"A", "B"}
 
 
+# each source arm split by a PBS, with a1's transmitted port split again:
+# only the mixed-pass branch B puts one photon on each pair
+_B_ONLY = "\n".join(
+    [l for l in builtin_text("fig3").splitlines() if l.startswith(("source ", "kerr "))]
+    + ["pbs a1 -> m0 m1", "pbs b1 -> m2 m3", "pbs a2 -> m4 m5", "pbs b2 -> m6 m7"]
+    + ["pbs m0 -> m8 m9", "detect T = m1"]
+    + ["detect P1 = m2 m3", "detect P2 = m4 m5", "detect P3 = m6 m7"]
+) + "\n"
+
+
+def test_sampling_draws_every_homodyne_outcome():
+    # the draw runs over both homodyne outcomes by their probability (1/2
+    # each here), so seeds draw branch A too; that outcome fails the
+    # coincidence, and its draw reports no entry and no pattern
+    network = elaborate(parse(_B_ONLY))
+    outcomes = branch_states(network)
+    assert [(bs.branch, bs.coincidence_probability > 0) for bs in outcomes] == [
+        ("A", False),
+        ("B", True),
+    ]
+    drawn = set()
+    for seed in range(200):
+        report = run_full(network=network, sample=True, seed=seed)
+        assert set(report.sampled) == {"branch", "x", "phi"}
+        assert [e.branch for e in report.entries] == (
+            [] if report.sampled["branch"] == "A" else ["B"]
+        )
+        drawn.add(report.sampled["branch"])
+    assert drawn == {"A", "B"}
+
+
 def test_run_full_refuses_colliding_pattern_labels():
     # with these output names the psi patterns ttr and rrt would both read
     # "abcdxy", and a report could not tell them apart

@@ -38,7 +38,7 @@ from ghzgen import (
 )
 from ghzgen.dsl import builtin_text
 from ghzgen.pipeline import _herald
-from ghzgen.states import ISOMETRY_TOL, compose, to_json_terms
+from ghzgen.states import ISOMETRY_TOL, STAGE_CACHE_SIZE, compose, to_json_terms
 
 import oracles
 from oracles import states_close
@@ -732,24 +732,42 @@ def _replay_state(data, transform, state):
         a, b, out = data.draw(st.sampled_from(pairs))
         amps[b] = -amps[a] * images[a][out] / images[b][out]
     # built as the engine builds its own results: the signed zeros stay
-    return PureState._pruned(dict(zip(kets, amps)))
+    return PureState._pruned(zip(kets, amps))
+
+
+def _replayed(transform, state):
+    """Apply ``state`` and check the result bit for bit against the
+    reference."""
+    assert _bits(transform.apply(state)) == _bits(oracles.reference_apply(transform, state))
+
+
+def _same_objects(now: dict, before: dict) -> bool:
+    return now.keys() == before.keys() and all(now[k] is v for k, v in before.items())
 
 
 @given(st.one_of(_state_st(max_photons=4), _doubled_state_st()), _transform_st(), st.data())
 def test_property_apply_is_bit_exact_to_reference(state, transform, data):
-    # the first call builds every ket's plan, the second replays them
+    # the first call builds the order's stage and every ket's plan
     out = transform.apply(state)
     expected = oracles.reference_apply(transform, state)
     assert out.terms == expected.terms
     assert _bits(out) == _bits(expected)
-    plans = dict(transform._plans)
+    plans, stages = dict(transform._plans), dict(transform._stages)
     assert set(plans) == set(state.terms)
+    assert list(stages) == [tuple(state.terms)]
 
-    again = _replay_state(data, transform, state)
-    out = transform.apply(again)
-    assert transform._plans == plans
-    assert all(transform._plans[k] is plan for k, plan in plans.items())
-    assert _bits(out) == _bits(oracles.reference_apply(transform, again))
+    # a repeat on the same order, with new amplitudes, builds nothing
+    _replayed(transform, _replay_state(data, transform, state))
+    assert _same_objects(transform._plans, plans)
+    assert _same_objects(transform._stages, stages)
+
+    # a permuted order gets a stage of its own from the same ket plans
+    kets = data.draw(st.permutations(list(state.terms)))
+    permuted = PureState._pruned((k, state.terms[k]) for k in kets)
+    _replayed(transform, _replay_state(data, transform, permuted))
+    assert _same_objects(transform._plans, plans)
+    assert len(transform._stages) == len(stages) + (tuple(kets) != tuple(state.terms))
+    assert tuple(kets) in transform._stages
 
 
 @given(_state_st(max_photons=4), _transform_st(collide=True))
@@ -813,10 +831,10 @@ def test_apply_replays_a_cancellation_below_prune_tol():
     h = _hadamard("a")
     kh, kv = FockKet({Rail("a", "H"): 1}), FockKet({Rail("a", "V"): 1})
     h.apply(PureState({kh: 0.8, kv: 0.6}))
-    plans = dict(h._plans)
+    plans, stages = dict(h._plans), dict(h._stages)
     state = PureState({kh: 0.6, kv: 0.6 * (1 + 1e-13)})
     out = h.apply(state)
-    assert h._plans == plans
+    assert _same_objects(h._plans, plans) and _same_objects(h._stages, stages)
     assert out.terms.keys() == {kh}
     assert _bits(out) == _bits(oracles.reference_apply(h, state))
 
@@ -835,7 +853,7 @@ def test_apply_collision_stores_no_plan_and_repeats():
         with pytest.raises(ValueError, match="already occupied") as info:
             route.apply(state)
         messages.append(str(info.value))
-        assert clash not in route._plans
+        assert clash not in route._plans and not route._stages
     assert messages[0] == messages[1]
     assert messages == [_outcome(oracles.reference_apply, route, state)[1]] * 2
 
@@ -844,10 +862,58 @@ def test_transform_plans_stay_out_of_equality_hash_and_pickle():
     h = _hadamard("a")
     state = ket(("a", "H"), ("b", "V"), amp=0.8) + ket(("a", "V"), ("a", "H"), amp=0.6)
     first = h.apply(state)
-    assert h._plans and h._patterns
+    assert h._plans and h._patterns and h._stages
     fresh = _hadamard("a")
     assert fresh == h and hash(fresh) == hash(h)
     back = pickle.loads(pickle.dumps(h))
     assert back == h and hash(back) == hash(h)
-    assert not back._plans and not back._patterns
+    assert not back._plans and not back._patterns and not back._stages
     assert _bits(back.apply(state)) == _bits(first) == _bits(h.apply(state))
+
+
+def test_apply_keeps_at_most_stage_cache_size_orders():
+    # 200 distinct orders through one element: the oldest stages go, the
+    # newest stays, and every replay is still bit-exact
+    h = _hadamard("a")
+    lead = FockKet({Rail("a", "H"): 1})
+    for i in range(200):
+        spectator = FockKet({Rail(f"s{i}", "V"): 1})
+        state = PureState._pruned([(spectator, 0.6), (lead, 0.8)])
+        _replayed(h, state)
+        assert len(h._stages) <= STAGE_CACHE_SIZE
+        assert tuple(state.terms) in h._stages
+    assert len(h._stages) == STAGE_CACHE_SIZE
+
+
+def test_apply_refuses_a_stage_past_the_ket_budget(monkeypatch):
+    # |aH> reaches two output kets and |aV bH> two more: four in all
+    h = _hadamard("a")
+    state = PureState(
+        {FockKet({Rail("a", "H"): 1}): 0.6, FockKet({Rail("a", "V"): 1, Rail("b", "H"): 1}): 0.8}
+    )
+    monkeypatch.setattr("ghzgen.states.MAX_KETS", 3)
+    with pytest.raises(NetworkError, match=r"^had: the state would hold more than 3 kets"):
+        h.apply(state)
+    assert not h._stages
+    monkeypatch.setattr("ghzgen.states.MAX_KETS", 4)
+    _replayed(h, state)
+
+
+@given(_state_st(max_terms=6), st.data())
+def test_property_project_occupancy_matches_the_scan(state, data):
+    # the memoized selection against the per-call scan, on a first call,
+    # on a repeat of the order with new amplitudes and on a permuted order
+    kets = data.draw(st.permutations(list(state.terms)))
+    permuted = PureState._pruned((k, state.terms[k]) for k in kets)
+    groups = data.draw(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(_MODES), min_size=1, unique=True), st.integers(0, 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    for current in (state, state * complex(0.3, -0.7), permuted):
+        got, prob = project_occupancy(current, groups)
+        ref, ref_prob = oracles.reference_project_occupancy(current, groups)
+        assert _bits(got) == _bits(ref)
+        assert prob.hex() == ref_prob.hex()
