@@ -48,7 +48,7 @@ from .pipeline import (
     verify_reference_states,
 )
 from .source import CaseWeights
-from .states import phase_fixed, to_json_terms
+from .states import phase_fixed, sum_in_order, to_json_terms
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -245,8 +245,8 @@ def cmd_sweep(flags: dict) -> int:
         p = 0.1
     rows = sweep_noise(p, network=network)
 
-    corrected_mean = sum(r["weight"] * r["corrected_fidelity"] for r in rows)
-    uncorrected_mean = sum(r["weight"] * r["uncorrected_fidelity"] for r in rows)
+    corrected_mean = sum_in_order(r["weight"] * r["corrected_fidelity"] for r in rows)
+    uncorrected_mean = sum_in_order(r["weight"] * r["uncorrected_fidelity"] for r in rows)
     ok = all(r["corrected_fidelity"] >= 1.0 - 1e-12 for r in rows)
     payload = {
         "p": p,

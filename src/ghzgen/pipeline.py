@@ -62,6 +62,7 @@ from .states import (
     ket,
     phase_fixed,
     project_occupancy,
+    sum_in_order,
 )
 
 if TYPE_CHECKING:
@@ -464,7 +465,7 @@ def _draw_sample(entries, outcomes, rng) -> tuple[list[RunEntry], dict]:
     candidates = [e for e in drawn if e.pattern is not None]
     sampled: dict = {"branch": chosen.branch, "x": chosen.x, "phi": chosen.phi}
     if candidates:
-        total = sum(e.pattern_probability for e in candidates)
+        total = sum_in_order(e.pattern_probability for e in candidates)
         r = float(rng.random()) * total
         acc = 0.0
         entry = candidates[-1]
@@ -510,14 +511,14 @@ def sweep_noise(p: float, *, network: CircuitNetwork | None = None) -> list[dict
         channel = [e for e in report.entries if e.branch == "B"]
         if not channel:
             raise _no_mixed_pass(network, "the noise sweep")
-        prob = sum(e.pattern_probability for e in channel)
+        prob = sum_in_order(e.pattern_probability for e in channel)
         noisy = apply_errors(target, errors, positions)
         rows.append(
             {
                 "errors": format_noise_spec(errors),
                 "weight": weight,
                 "family": classify_family(noisy, positions).label,
-                "corrected_fidelity": sum(
+                "corrected_fidelity": sum_in_order(
                     e.pattern_probability * e.fidelity for e in channel
                 )
                 / prob,
@@ -613,7 +614,7 @@ def verify_reference_states() -> list[dict]:
         )
 
     report = run_full()
-    total = sum(e.joint_probability for e in report.entries)
+    total = sum_in_order(e.joint_probability for e in report.entries)
     all_unit = all(e.fidelity >= 1 - tol for e in report.entries)
     checks.append(
         {

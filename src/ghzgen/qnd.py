@@ -21,7 +21,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .states import FockKet, NetworkError, PureState, Rail
+from .states import FockKet, NetworkError, PureState, Rail, sum_in_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,7 +52,7 @@ def tag_phases(
     for c in couplings:
         rail = Rail(c.mode, c.pol)
         per_rail[rail] = per_rail.get(rail, 0.0) + c.units
-    return {k: sum(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
+    return {k: sum_in_order(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
 
 
 class QndOutcome(NamedTuple):

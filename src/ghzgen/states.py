@@ -11,14 +11,14 @@ Conventions:
   * amplitudes with magnitude below ``PRUNE_TOL`` are dropped after every
     arithmetic operation, so zero really means zero
   * ``ModeTransform.apply`` builds a stage on the first sight of each
-    input ket order, from one plan per distinct input ket, and replays it
-    on every later call: the same floating-point operations, in the same
-    order, so a replay is bit-identical to a first sight.  Plans and
-    stages are per distinct element (the ``elements`` constructors
-    intern); plans grow with the distinct kets it meets, stages are kept
-    for at most ``STAGE_CACHE_SIZE`` orders, and a stage wider than
-    ``MAX_KETS`` is refused.  ``PRUNE_TOL`` pruning stays outside both, in
-    ``PureState._pruned``
+    input ket order, from one plan per input count pattern, and replays
+    it on every later call: the same floating-point operations, in the
+    same order, so a replay is bit-identical to a first sight.  Pattern
+    plans and stages are per distinct element (the ``elements``
+    constructors intern); pattern plans grow with the distinct count
+    patterns it meets, stages are kept for at most ``STAGE_CACHE_SIZE``
+    orders, and a stage wider than ``MAX_KETS`` is refused.  ``PRUNE_TOL``
+    pruning stays outside both, in ``PureState._pruned``
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
@@ -76,6 +76,17 @@ def _as_rail(value) -> Rail:
     if rail.pol not in POLARIZATIONS:
         raise ValueError(f"polarization must be H or V, got {rail.pol!r}")
     return rail
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Sum of ``values`` left to right, rounding after each addition.  The
+    builtin ``sum`` compensates float rounding from Python 3.12 on, so the
+    last bits of its result, and the printed output, would depend on the
+    interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class FockKet:
@@ -198,7 +209,11 @@ class PureState:
         return self._terms.get(k, 0j)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._terms.values()))
+        # ``sum_in_order`` inline: every projection and normalization runs it
+        total = 0.0
+        for a in self._terms.values():
+            total += abs(a) ** 2
+        return math.sqrt(total)
 
     def normalized(self) -> "PureState":
         n = self.norm()
@@ -329,15 +344,6 @@ def _orthonormal(columns: Sequence[Sequence[complex]]) -> bool:
     return True
 
 
-# the plan of a ket with no photon on the element's input rails: divide by
-# sqrt(1) and sum onto 0j, with no op layers.  Its output is the ket itself
-# (``outs`` None), object and all; no other ket's image can land on it,
-# because it holds no photon on an output either.  One shared tuple, so
-# that these kets, about half of those an element meets, cost one dict
-# entry each
-_PASSTHROUGH_PLAN = (1.0, (), None)
-
-
 class ModeTransform:
     """Linear-optical element acting on a fixed tuple of input rails.
 
@@ -347,9 +353,9 @@ class ModeTransform:
     rectangular ones model elements with an unused vacuum port.
 
     The matrix is kept as ``rows``, a tuple of rows of Python complex
-    numbers.  Instances are immutable and hashable.  The plans and stages
-    ``apply`` stores are a cache: equality, hashing and pickling ignore
-    them, and an unpickled instance starts with none.
+    numbers.  Instances are immutable and hashable.  The pattern plans
+    and stages ``apply`` stores are a cache: equality, hashing and
+    pickling ignore them, and an unpickled instance starts with none.
     """
 
     __slots__ = (
@@ -360,7 +366,6 @@ class ModeTransform:
         "_hash",
         "_rail_index",
         "_columns",
-        "_plans",
         "_patterns",
         "_stages",
     )
@@ -399,7 +404,7 @@ class ModeTransform:
         object.__setattr__(self, "out_rails", out_rails)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", hash((name, in_rails, out_rails, rows)))
-        # what apply's plans are built from: the column index of each input
+        # what apply's stages are built from: the column index of each input
         # rail, -1 for an output rail that is no input (a passthrough photon
         # there collides), and per input column the nonzero (output index,
         # amplitude) entries in output order
@@ -411,9 +416,7 @@ class ModeTransform:
             "_columns",
             tuple(tuple((i, u) for i, u in enumerate(c) if u != 0) for c in columns),
         )
-        # filled by apply: per input ket, per input count pattern, and per
-        # input ket order
-        object.__setattr__(self, "_plans", {})
+        # filled by apply: per input count pattern and per input ket order
         object.__setattr__(self, "_patterns", {})
         object.__setattr__(self, "_stages", {})
 
@@ -458,17 +461,17 @@ class ModeTransform:
         Which operations those are depends on the input ket alone, never on
         its amplitude, and which output kets they reach, in which order,
         on the input ket order alone.  So the first sight of an order
-        builds its stage (``_stage``) from the kets' plans (``_plan``),
-        and this and every later call on that order replay it in three
-        passes over one buffer of complex slots, all starting at 0j: each
-        ket's amplitude is divided into its own slot; the op layers of
-        every ket run in ket order, each step adding ``src * u * sq`` onto
-        its destination slot; and each ket's last-layer slots are summed,
-        in ket order, onto the output slots.  Those are numbered in
-        first-appearance order, so the result's ket order is the one a
-        dict keyed on the output kets would give.  Amplitudes under
-        ``PRUNE_TOL`` are dropped afterwards, by ``PureState._pruned``,
-        never inside a stage.
+        builds its stage (``_stage``) from the kets' count-pattern plans
+        (``_pattern_plan``), and this and every later call on that order
+        replay it in three passes over one buffer of complex slots, all
+        starting at 0j: each ket's amplitude is divided into its own slot;
+        the op layers of every ket run in ket order, each step adding
+        ``src * u * sq`` onto its destination slot; and each ket's
+        last-layer slots are summed, in ket order, onto the output slots.
+        Those are numbered in first-appearance order, so the result's ket
+        order is the one a dict keyed on the output kets would give.
+        Amplitudes under ``PRUNE_TOL`` are dropped afterwards, by
+        ``PureState._pruned``, never inside a stage.
 
         An order whose stage would reach more than ``MAX_KETS`` output
         kets raises ``NetworkError`` naming this element, before any
@@ -490,25 +493,57 @@ class ModeTransform:
     def _stage(self, order: tuple[FockKet, ...]) -> tuple:
         """Build, store and return the stage of the input ket ``order``.
 
+        Each ket's rails are split into its sorted (input index, count)
+        pattern and its passthrough entries.  The pattern's divisor and op
+        layers come from ``_pattern_plan``, shared by every ket with that
+        pattern through ``_patterns``; the ket's output kets add its
+        passthrough entries to each last-layer slot's entries.  A ket with
+        no photon on an input rail is divided by sqrt(1), runs no op layer
+        and is its own only output, object and all: no other ket's image
+        can land on it, because it holds no photon on an output either.
+
         Its buffer holds the output slots first, one per output ket in
         first-appearance order, then one input slot per ket of ``order``,
         then the slots of every ket's op layers.  The stage is ``(size,
         width, divs, ops, sums, outs)``: the buffer size, the number of
         output slots, each ket's divisor, the ``(dst, src, u, sq)`` steps
         of all op layers renumbered into the buffer, the ``(output slot,
-        last-layer slot)`` sums, and the output kets.  A collision
-        (``_plan``) or an output past ``MAX_KETS`` raises and stores no
-        stage; when ``STAGE_CACHE_SIZE`` stages are kept, the oldest is
-        dropped."""
-        plans = self._plans
+        last-layer slot)`` sums, and the output kets.  A rail on an output
+        of this element raises ``ValueError`` and an output past
+        ``MAX_KETS`` raises ``NetworkError``; either stores no stage.  When
+        ``STAGE_CACHE_SIZE`` stages are kept, the oldest is dropped."""
+        rail_index = self._rail_index
+        patterns = self._patterns
         index: dict[FockKet, int] = {}
         kets = []
         for k in order:
-            plan = plans.get(k)
-            if plan is None:
-                plan = self._plan(k)
-            div, layers, outs = plan
-            slots = [index.setdefault(o, len(index)) for o in outs or (k,)]
+            counts: list[tuple[int, int]] = []
+            passthrough: list[tuple[Rail, int]] = []
+            for entry in k._occ:
+                j = rail_index.get(entry[0])
+                if j is None:
+                    passthrough.append(entry)
+                elif j < 0:
+                    raise ValueError(
+                        f"{self.name}: rail {entry[0]} is already occupied "
+                        "on an output of this element"
+                    )
+                else:
+                    counts.append((j, entry[1]))
+            if counts:
+                counts.sort()
+                pattern = tuple(counts)
+                shared = patterns.get(pattern)
+                if shared is None:
+                    shared = patterns[pattern] = self._pattern_plan(pattern)
+                div, layers, out_entries = shared
+                outs = [
+                    FockKet._canonical(tuple(sorted(passthrough + entries)))
+                    for entries in out_entries
+                ]
+            else:
+                div, layers, outs = 1.0, (), (k,)
+            slots = [index.setdefault(o, len(index)) for o in outs]
             if len(index) > MAX_KETS:
                 raise NetworkError(
                     f"{self.name}: the state would hold more than {MAX_KETS} "
@@ -539,53 +574,11 @@ class ModeTransform:
         )
         return stage
 
-    def _plan(self, k: FockKet) -> tuple:
-        """Build, store and return the plan of ket ``k``: the divisor, the
-        op layers and the output kets (``None`` for ``_PASSTHROUGH_PLAN``).
-        A rail on an output of this element raises ``ValueError`` and
-        stores nothing.
-
-        The divisor and the op layers depend only on the sorted (input
-        index, count) pattern of ``k``, so kets with one pattern share
-        them; only the output kets, which carry the passthrough rails, are
-        built per ket."""
-        rail_index = self._rail_index
-        counts: list[tuple[int, int]] = []
-        passthrough: list[tuple[Rail, int]] = []
-        for entry in k._occ:
-            j = rail_index.get(entry[0])
-            if j is None:
-                passthrough.append(entry)
-            elif j < 0:
-                raise ValueError(
-                    f"{self.name}: rail {entry[0]} is already occupied "
-                    "on an output of this element"
-                )
-            else:
-                counts.append((j, entry[1]))
-        if not counts:
-            plan = self._plans[k] = _PASSTHROUGH_PLAN
-            return plan
-        counts.sort()
-        pattern = tuple(counts)
-        shared = self._patterns.get(pattern)
-        if shared is None:
-            shared = self._patterns[pattern] = self._pattern_plan(pattern)
-        div, layers, out_entries = shared
-        outs = tuple(
-            [
-                FockKet._canonical(tuple(sorted(passthrough + entries)))
-                for entries in out_entries
-            ]
-        )
-        plan = self._plans[k] = (div, layers, outs)
-        return plan
-
     def _pattern_plan(self, pattern: tuple[tuple[int, int], ...]) -> tuple:
-        """The shared part of a plan for the sorted (input index, count)
-        ``pattern``: the sqrt(prod n!) divisor; one op layer per created
-        photon, as ``(width, ops)``; and the ``(rail, count)`` entries of
-        each slot of the last layer.
+        """The plan of the sorted (input index, count) ``pattern``, shared
+        by every ket with that pattern: the sqrt(prod n!) divisor; one op
+        layer per created photon, as ``(width, ops)``; and the ``(rail,
+        count)`` entries of each slot of the last layer.
 
         A layer maps the previous layer's slots to ``width`` new ones, one
         per occupation reached by creating one more photon of the pattern.

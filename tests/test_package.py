@@ -1,8 +1,8 @@
 """The package namespace (``__all__`` and the imports in ``__init__``),
 the data files the wheel ships, where the package imports numpy, what
 elaborating a circuit leaves for ``apply`` to do, the bound on every
-argument cache, the names the benchmark tracer wraps, and the bytes of the
-benchmark's library requests."""
+argument cache, the names the benchmark tracer wraps, and the bytes of and
+the work done by the benchmark's library requests."""
 
 import ast
 import hashlib
@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 import inspect
 import itertools
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -111,14 +114,14 @@ def test_no_fixture_names_in_the_package():
 @pytest.mark.parametrize("name", BUILTINS)
 def test_elaborate_builds_no_apply_plans(name):
     # a CLI start elaborates the builtin circuits before any state exists;
-    # plans and stages are built inside apply only, on the first sight of
-    # a ket or a ket order.  The constructors intern, so earlier tests'
+    # pattern plans and stages are built inside apply only, on the first
+    # sight of a ket order.  The constructors intern, so earlier tests'
     # elements are dropped first
     for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
         make.cache_clear()
     network = elaborate(parse(builtin_text(name)), name=name)
     assert network.elements
-    assert all(not (e._plans or e._patterns or e._stages) for e in network.elements)
+    assert all(not (e._patterns or e._stages) for e in network.elements)
 
 
 def test_every_argument_cache_is_bounded():
@@ -189,3 +192,45 @@ def test_library_output_is_bit_exact():
     assert digest.hexdigest() == (
         "a55699c205702b21316061336fb4a64c05f57b8007a08b0cee5c5c87eb87c272"
     )
+
+
+def test_library_requests_do_a_fixed_amount_of_work():
+    # the same 240 requests in a fresh interpreter, counting the stages and
+    # count-pattern plans ModeTransform builds and the keep-masks
+    # project_occupancy builds.  The counts depend on the circuits and the
+    # request mix alone; a change that moves one re-records it with its
+    # reason
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, itertools, sys\n"
+        "import ghzgen\n"
+        "from ghzgen import states\n"
+        "from ghzgen.dsl import builtin_text, elaborate, parse\n"
+        "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workloads)\n"
+        "built = {'_stage': 0, '_pattern_plan': 0}\n"
+        "def counted(name, method):\n"
+        "    def wrapper(*args):\n"
+        "        built[name] += 1\n"
+        "        return method(*args)\n"
+        "    return wrapper\n"
+        "for name in built:\n"
+        "    setattr(states.ModeTransform, name, counted(name, getattr(states.ModeTransform, name)))\n"
+        "networks = {n: elaborate(parse(builtin_text(n)), name=n) for n in ('fig1', 'fig3')}\n"
+        "requests = itertools.chain.from_iterable(workloads.rounds('library-varied', 3))\n"
+        "for kind, params in itertools.islice(requests, 240):\n"
+        "    workloads.call_library(ghzgen, networks, kind, params)\n"
+        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "benchmarks" / "workloads.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    ).stdout
+    stages, pattern_plans, mask_builds = map(int, out.split())
+    assert (stages, pattern_plans, mask_builds) == (98, 104, 74)

@@ -6,9 +6,11 @@ trigger and three two-mode photon groups, and sometimes a half-wave flip
 plus resolving PBS merge in front of each group, so that both network
 styles occur.  Most such circuits are miswired for the protocol; the
 properties are that the CLI never raises, that every command exits with
-one of its codes and refuses with exactly one ``error:`` line, and that a
-run on fresh element objects reads the same bytes as a run on the
-interned ones, whose ``apply`` plans earlier examples built.
+one of its codes and refuses with exactly one ``error:`` line, that a
+ket budget too low for the fan-out is refused naming the element that
+crosses it, and that a run on fresh element objects reads the same bytes
+as a run on the interned ones, whose ``apply`` stages earlier examples
+built.
 """
 
 import contextlib
@@ -16,11 +18,14 @@ import io
 import itertools
 import json
 import pickle
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzgen import cli, elaborate, parse, run_full
 from ghzgen.dsl import builtin_text, pretty_print
+from ghzgen.elements import make_bs, make_hwp45, make_hwp90, make_pbs, make_route
 from ghzgen.network import NetworkError, TRIGGER_GROUP
 
 # the source and probe lines of the builtin circuits
@@ -146,3 +151,41 @@ def test_random_circuits_round_trip_refuse_cleanly_and_replay_bit_for_bit(
     fresh = network._replace(elements=pickle.loads(pickle.dumps(network.elements)))
     assert all(a is not b for a, b in zip(fresh.elements, network.elements))
     assert _canonical(run_full(network=fresh)) == _canonical(interned)
+
+
+# a ket budget below the width of every branch state the source emits, so
+# that the first element a branch meets crosses it
+_LOW_BUDGET = 4
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(text=circuits())
+def test_random_circuits_refuse_a_low_ket_budget_naming_an_element(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "budget.onet"
+    path.write_text(text, encoding="utf-8")
+    network = elaborate(parse(text), name="random")
+    try:
+        reached = bool(run_full(network=network).entries)
+    except NetworkError:
+        reached = False
+    names = "|".join(re.escape(e.name) for e in network.elements)
+    refusal = re.compile(
+        rf"error: ({names}): the state would hold more than {_LOW_BUDGET} kets "
+        r"after this element\n"
+    )
+    commands = ("run", "dump", "sweep-noise")
+    within = [_main(command, "--network", str(path)) for command in commands]
+    # fresh elements, so that no stage built under the real budget is hit
+    for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
+        make.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ghzgen.states.MAX_KETS", _LOW_BUDGET)
+        past = [_main(command, "--network", str(path)) for command in commands]
+    for command, (code, err), before in zip(commands, past, within):
+        if refusal.fullmatch(err):
+            assert code == 2, (command, err)
+        else:
+            # a branch that reaches the fan-out crosses the budget there
+            assert not (reached and command in ("run", "dump")), (command, err)
+            # refused, or done, before any element met the budget
+            assert (code, err) == before, (command, code, err)
