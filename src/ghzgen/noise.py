@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .qnd import NetworkError
@@ -40,6 +41,9 @@ FAMILY_WORDS = {
 }
 
 CLASSIFY_TOL = 1e-9
+# literal states that ``family_state`` keeps per (family, positions) and
+# ``pipeline.ghz_target`` per modes; a generator fills 16 and 8
+LITERAL_CACHE_SIZE = 64
 
 
 class PauliError(namedtuple("PauliError", "photon kind")):
@@ -92,7 +96,14 @@ def family_state(
 ) -> PureState:
     """The literal four-ket channel state of a family on the channel
     ``positions`` (``NetworkStructure.positions``: each photon's two
-    spatial modes)."""
+    spatial modes).  Memoized: a ``PureState`` is never mutated."""
+    return _family_state(family, tuple(map(tuple, positions)))
+
+
+@lru_cache(maxsize=LITERAL_CACHE_SIZE)
+def _family_state(
+    family: NoiseFamily, positions: tuple[tuple[str, str], ...]
+) -> PureState:
     w1, w2 = FAMILY_WORDS[family.tag]
     if family.mirrored:
         w1, w2 = w2, w1

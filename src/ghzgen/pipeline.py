@@ -33,6 +33,7 @@ from .network import (
     analyze,
 )
 from .noise import (
+    LITERAL_CACHE_SIZE,
     PSI_PLUS,
     NoiseFamily,
     PauliError,
@@ -53,6 +54,7 @@ from .qnd import (
 )
 from .source import CaseWeights, dual_pass_emission
 from .states import (
+    MASK_CACHE_SIZE,
     FockKet,
     ModeTransform,
     PureState,
@@ -77,7 +79,13 @@ PHI_PLUS = "phi+"
 
 
 def ghz_target(modes: Sequence[str]) -> PureState:
-    """(|HHV> + |VVH>) / sqrt(2) over three spatial modes."""
+    """(|HHV> + |VVH>) / sqrt(2) over three spatial modes.  Memoized: a
+    ``PureState`` is never mutated."""
+    return _ghz_target(tuple(modes))
+
+
+@lru_cache(maxsize=LITERAL_CACHE_SIZE)
+def _ghz_target(modes: tuple[str, ...]) -> PureState:
     out = PureState()
     for word in GHZ_WORDS:
         out = out + ket(*zip(modes, word))
@@ -158,13 +166,41 @@ def postselect_coincidence(
     Requires exactly one photon in the fired mode and zero in the silent
     partner of every pair.  Returns only patterns with nonzero
     probability, each with its normalized conditional state.
+
+    The input norm is taken once, and which kets each pattern keeps
+    comes from ``_pattern_kets``, memoized on the ket order and the
+    groups.  Each conditional is built as ``project_occupancy`` builds
+    it, from the kept kets in the input's order, so the states and
+    probabilities are bit-identical to projecting once per pattern.
     """
+    terms = state._terms
+    total = state.norm() ** 2
+    if total == 0.0:
+        return []
+    items = list(terms.items())
     results = []
-    for pattern in patterns:
-        conditional, prob = project_occupancy(state, pattern.groups)
+    selected = _pattern_kets(tuple(terms), tuple(p.groups for p in patterns))
+    for pattern, positions in zip(patterns, selected):
+        projected = PureState([items[i] for i in positions])
+        if projected.is_zero():
+            continue
+        prob = projected.norm() ** 2 / total
         if prob > 0.0:
-            results.append((pattern, conditional, prob))
+            results.append((pattern, projected.normalized(), prob))
     return results
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _pattern_kets(
+    kets: tuple[FockKet, ...], groups: tuple[tuple[tuple[Sequence[str], int], ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Per pattern's ``groups``, the positions in ``kets`` of the kets
+    holding exactly ``count`` photons in each of its ``(modes, count)``
+    groups, in ket order.  A ket may land in more than one pattern."""
+    return tuple(
+        tuple(i for i, k in enumerate(kets) if all(k.count_in_modes(m) == n for m, n in g))
+        for g in groups
+    )
 
 
 def apply_corrections(

@@ -2,11 +2,16 @@
 
 A *rail* is one bosonic mode: a spatial label plus a polarization ('H' or
 'V').  States are sparse complex superpositions of Fock kets over rails,
-stored as dictionaries keyed by a canonical occupation tuple.  Everything
-downstream (sources, optical elements, projections, entanglement
-diagnostics) is built on the handful of primitives in this module.
+stored as dictionaries keyed by Fock kets.  Everything downstream
+(sources, optical elements, projections, entanglement diagnostics) is
+built on the handful of primitives in this module.
 
 Conventions:
+  * a ket is interned: there is one live ``FockKet`` per canonical
+    occupation tuple, so ket equality and hashing are identity and run in
+    C.  The intern table holds its kets weakly, and no output depends on
+    a ket's address: kets are ordered by their occupations or by
+    insertion, never by hash
   * kets are normalized occupation-number states, |n> = (a†)^n / sqrt(n!) |0>
   * amplitudes with magnitude below ``PRUNE_TOL`` are dropped after every
     arithmetic operation, so zero really means zero
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+import weakref
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,8 +55,9 @@ MAX_KETS = 1 << 16
 # input ket orders whose stage one element keeps; the builtin circuits
 # meet at most 9 per element
 STAGE_CACHE_SIZE = 32
-# (ket order, groups) keep-masks that ``project_occupancy`` keeps; runs
-# of the builtin circuits meet 74
+# (ket order, groups) keep-masks that ``project_occupancy`` keeps, and
+# ket-order pattern assignments that ``pipeline.postselect_coincidence``
+# keeps; runs of the builtin circuits meet 2 and 9
 MASK_CACHE_SIZE = 256
 
 
@@ -89,17 +97,25 @@ def sum_in_order(values: Iterable[float]) -> float:
     return total
 
 
+# the one live ket per occupation tuple (see ``FockKet``)
+_KETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_KETS_LOCK = threading.Lock()
+
+
 class FockKet:
-    """Occupation-number ket over rails, canonically ordered and hashable.
+    """Occupation-number ket over rails, canonically ordered and interned.
 
     Stored as a tuple of (rail, count) pairs sorted by (mode, pol) with all
-    counts positive; the empty tuple is the vacuum.  The hash is computed
-    once, at construction.
+    counts positive; the empty tuple is the vacuum.  There is one live
+    ket per occupation tuple: construction returns the instance in
+    ``_KETS`` when there is one, so equality and hashing are by identity
+    and run in C.  The table holds its kets weakly; a ket lives as long
+    as some state, stage or cache holds it.
     """
 
-    __slots__ = ("_occ", "_hash")
+    __slots__ = ("_occ", "__weakref__")
 
-    def __init__(self, occupations: Mapping[Rail, int] | Iterable[tuple] = ()):
+    def __new__(cls, occupations: Mapping[Rail, int] | Iterable[tuple] = ()):
         if isinstance(occupations, Mapping):
             items = occupations.items()
         else:
@@ -112,22 +128,28 @@ class FockKet:
                 raise ValueError(f"negative occupation {count} on {rail}")
             if count:
                 merged[rail] = merged.get(rail, 0) + count
-        self._occ = tuple(sorted(merged.items()))
-        self._hash = hash(self._occ)
+        return cls._canonical(tuple(sorted(merged.items())))
 
     @classmethod
     def _canonical(cls, occ: tuple[tuple[Rail, int], ...]) -> "FockKet":
-        """Wrap an occupation tuple that is already canonical (sorted by
-        rail, every rail a ``Rail``, every count a positive int), skipping
-        validation.  For engine internals only."""
-        k = object.__new__(cls)
-        k._occ = occ
-        k._hash = hash(occ)
+        """The ket of an occupation tuple that is already canonical (sorted
+        by rail, every rail a ``Rail``, every count a positive int),
+        skipping validation.  For engine internals only."""
+        k = _KETS.get(occ)
+        if k is None:
+            # check again under the lock, so that two threads never mint
+            # two kets for one occupation tuple
+            with _KETS_LOCK:
+                k = _KETS.get(occ)
+                if k is None:
+                    k = object.__new__(cls)
+                    k._occ = occ
+                    _KETS[occ] = k
         return k
 
     def __reduce__(self):
-        # rebuild through _canonical so the hash is recomputed in the
-        # unpickling interpreter (string hashes differ between processes)
+        # rebuild through _canonical, so that an unpickled or copied ket is
+        # the interned one of this interpreter
         return FockKet._canonical, (self._occ,)
 
     @property
@@ -140,12 +162,6 @@ class FockKet:
 
     def __iter__(self) -> Iterator[tuple[Rail, int]]:
         return iter(self._occ)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockKet) and self._occ == other._occ
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "FockKet") -> bool:
         return self._occ < other._occ

@@ -10,7 +10,9 @@ by occupation tuples.
 The exceptions work on engine objects: ``reference_apply`` is the
 engine's earlier, plainly written ``ModeTransform.apply``, kept here
 unchanged so the optimized kernel can be held to bit-for-bit equality
-with it; ``states_close`` compares two states amplitude by amplitude;
+with it, and ``reference_project_occupancy`` and
+``reference_postselect_coincidence`` do the same for the memoized
+projections; ``states_close`` compares two states amplitude by amplitude;
 ``dense_entanglement_summary`` recomputes the polarization-versus-path
 summary from the dense density matrix, as a cross-check of
 ``entanglement_summary``.
@@ -395,3 +397,21 @@ def reference_project_occupancy(state, groups):
     if projected.is_zero():
         return projected, 0.0
     return projected.normalized(), prob
+
+
+# --- reference for postselect_coincidence's one-pass split ---------------
+
+
+def reference_postselect_coincidence(state, patterns):
+    """The engine's earlier ``postselect_coincidence``, verbatim: one
+    ``project_occupancy`` per pattern, each taking the input norm again.
+    The one-pass split must return exactly these patterns, states, in
+    this ket order, and probabilities."""
+    from ghzgen.states import project_occupancy
+
+    results = []
+    for pattern in patterns:
+        conditional, prob = project_occupancy(state, pattern.groups)
+        if prob > 0.0:
+            results.append((pattern, conditional, prob))
+    return results

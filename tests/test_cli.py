@@ -799,6 +799,48 @@ def test_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+# runs the command once unseen, then builds every ket it met again, in
+# reverse order, in a new intern table while the old kets are still held,
+# so that fresh memory gives them addresses in the reverse order; with
+# every package cache cleared, the command runs again and prints
+_SHIFTED = """
+import contextlib, gc, importlib, io, pkgutil, sys, weakref
+import ghzgen
+from ghzgen import cli, states
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+old = list(states._KETS.values())
+states._KETS = weakref.WeakValueDictionary()
+held = [states.FockKet._canonical(k.occupations) for k in reversed(old)]
+for info in pkgutil.iter_modules(ghzgen.__path__, "ghzgen."):
+    if info.name != "ghzgen.__main__":
+        for value in vars(importlib.import_module(info.name)).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+del old
+gc.collect()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("run",), ("sweep-noise", "--json"), ("run", "--sample", "--seed", "5")],
+    ids="_".join,
+)
+def test_output_does_not_depend_on_ket_addresses(argv):
+    # kets hash by identity: a dict or set ordered by hash would order
+    # output by address.  A command prints the same bytes whatever kets
+    # were built before it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    plain, shifted = (
+        subprocess.run(command + list(argv), capture_output=True, env=env, timeout=120)
+        for command in ([sys.executable, "-m", "ghzgen"], [sys.executable, "-c", _SHIFTED])
+    )
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (shifted.returncode, shifted.stderr, shifted.stdout) == (0, b"", plain.stdout)
+
+
 # --- the ket budget ----------------------------------------------------------
 
 

@@ -196,15 +196,16 @@ def test_library_output_is_bit_exact():
 
 def test_library_requests_do_a_fixed_amount_of_work():
     # the same 240 requests in a fresh interpreter, counting the stages and
-    # count-pattern plans ModeTransform builds and the keep-masks
-    # project_occupancy builds.  The counts depend on the circuits and the
-    # request mix alone; a change that moves one re-records it with its
+    # count-pattern plans ModeTransform builds, the keep-masks
+    # project_occupancy builds and the pattern assignments
+    # postselect_coincidence builds.  The counts depend on the circuits and
+    # the request mix alone; a change that moves one re-records it with its
     # reason
     root = Path(__file__).resolve().parents[1]
     code = (
         "import importlib.util, itertools, sys\n"
         "import ghzgen\n"
-        "from ghzgen import states\n"
+        "from ghzgen import pipeline, states\n"
         "from ghzgen.dsl import builtin_text, elaborate, parse\n"
         "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
         "workloads = importlib.util.module_from_spec(spec)\n"
@@ -221,7 +222,8 @@ def test_library_requests_do_a_fixed_amount_of_work():
         "requests = itertools.chain.from_iterable(workloads.rounds('library-varied', 3))\n"
         "for kind, params in itertools.islice(requests, 240):\n"
         "    workloads.call_library(ghzgen, networks, kind, params)\n"
-        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses)\n"
+        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses,\n"
+        "      pipeline._pattern_kets.cache_info().misses)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run(
@@ -232,5 +234,5 @@ def test_library_requests_do_a_fixed_amount_of_work():
         timeout=120,
         check=True,
     ).stdout
-    stages, pattern_plans, mask_builds = map(int, out.split())
-    assert (stages, pattern_plans, mask_builds) == (98, 104, 74)
+    stages, pattern_plans, mask_builds, assignments = map(int, out.split())
+    assert (stages, pattern_plans, mask_builds, assignments) == (98, 104, 2, 9)

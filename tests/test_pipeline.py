@@ -59,6 +59,16 @@ def test_ghz_target_literal():
     assert t.norm() == pytest.approx(1.0)
 
 
+def test_literal_states_take_any_sequence():
+    # the literal states are memoized on tuples: list arguments give the
+    # same states as tuples, not an unhashable-argument error
+    positions = _fig1_positions()
+    listed = [list(pair) for pair in positions]
+    for fam in all_families():
+        assert family_state(fam, listed) == family_state(fam, tuple(positions))
+    assert ghz_target(["m1", "m2", "m3"]) == ghz_target(("m1", "m2", "m3"))
+
+
 # --- fan-out stage --------------------------------------------------------
 
 

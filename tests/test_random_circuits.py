@@ -8,21 +8,26 @@ styles occur.  Most such circuits are miswired for the protocol; the
 properties are that the CLI never raises, that every command exits with
 one of its codes and refuses with exactly one ``error:`` line, that a
 ket budget too low for the fan-out is refused naming the element that
-crosses it, and that a run on fresh element objects reads the same bytes
+crosses it, that a run on fresh element objects reads the same bytes
 as a run on the interned ones, whose ``apply`` stages earlier examples
-built.
+built, and that a run on kets rebuilt from their occupations, in a new
+intern table, reads the same bytes as a run on the interned kets.
 """
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import pickle
+import pkgutil
 import re
+import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import ghzgen
 from ghzgen import cli, elaborate, parse, run_full
 from ghzgen.dsl import builtin_text, pretty_print
 from ghzgen.elements import make_bs, make_hwp45, make_hwp90, make_pbs, make_route
@@ -116,6 +121,33 @@ def _canonical(report) -> bytes:
     return json.dumps(payload, default=lambda o: o.tolist()).encode()
 
 
+def _clear_package_caches(elements):
+    """Empty every cache of the package and the stages of ``elements``:
+    afterwards no cached state, stage or mask holds a ket."""
+    for info in pkgutil.iter_modules(ghzgen.__path__, "ghzgen."):
+        if info.name != "ghzgen.__main__":
+            for value in vars(importlib.import_module(info.name)).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    for element in elements:
+        element._stages.clear()
+
+
+@contextlib.contextmanager
+def _rebuilt_kets(elements):
+    """Inside, every ket is built anew from its occupations, in a new and
+    empty intern table: the kets of the old one are other objects, at
+    other addresses.  No cache holds a ket of the other table on entry
+    or on exit, so that neither side's kets reach the other."""
+    _clear_package_caches(elements)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ghzgen.states._KETS", weakref.WeakValueDictionary())
+        try:
+            yield
+        finally:
+            _clear_package_caches(elements)
+
+
 def _main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -151,6 +183,26 @@ def test_random_circuits_round_trip_refuse_cleanly_and_replay_bit_for_bit(
     fresh = network._replace(elements=pickle.loads(pickle.dumps(network.elements)))
     assert all(a is not b for a, b in zip(fresh.elements, network.elements))
     assert _canonical(run_full(network=fresh)) == _canonical(interned)
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(text=circuits())
+@example(text=builtin_text("fig1"))
+@example(text=builtin_text("fig3"))
+def test_random_circuits_read_the_same_bytes_on_rebuilt_kets(text):
+    # kets hash by identity; a run on kets rebuilt from their occupations,
+    # other objects at other addresses, must read the same bytes.  Few
+    # random circuits pass coincidence, so the builtin ones are examples
+    network = elaborate(parse(text), name="random")
+    try:
+        interned = run_full(network=network)
+    except NetworkError:
+        return
+    with _rebuilt_kets(network.elements):
+        rebuilt = run_full(network=network)
+    assert _canonical(rebuilt) == _canonical(interned)
+    kets = [[k for e in report.entries for k in e.state.terms] for report in (rebuilt, interned)]
+    assert all(a is not b for a, b in zip(*kets))
 
 
 # a ket budget below the width of every branch state the source emits, so

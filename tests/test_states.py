@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ghzgen import (
+    CoincidencePattern,
     DetectorGroup,
     FockKet,
     ModeTransform,
@@ -33,6 +35,7 @@ from ghzgen import (
     make_pbs,
     parse,
     phase_fixed,
+    postselect_coincidence,
     project_occupancy,
     tag_phases,
 )
@@ -74,10 +77,15 @@ def test_fock_ket_queries():
 
 
 def test_fock_ket_hash_is_the_occupation_hash():
+    # kets are interned, so hashing is by identity: whichever constructor
+    # builds a ket of an occupation tuple, it is the one live ket of that
+    # tuple and finds every dict entry made under it
     k = FockKet({Rail("b", "V"): 1, Rail("a", "H"): 2})
-    assert hash(k) == hash(k.occupations)
+    assert FockKet._canonical(k.occupations) is k
+    assert FockKet(k.occupations) is k
+    assert FockKet() is FockKet._canonical(())
+    assert {k: "found"}[FockKet._canonical(k.occupations)] == "found"
     assert hash(FockKet._canonical(k.occupations)) == hash(k)
-    assert hash(FockKet()) == hash(())
 
 
 def test_fock_ket_pickle_round_trip():
@@ -91,7 +99,7 @@ def test_fock_ket_pickle_round_trip():
 
 def test_fock_ket_unpickled_from_another_interpreter_keeps_dict_lookup():
     # string hashes differ between interpreters: a ket pickled under another
-    # hash seed must hash by this interpreter's rules once loaded
+    # hash seed must load as this interpreter's interned ket of its tuple
     code = (
         "import pickle, sys; from ghzgen import FockKet, ket; "
         "k = FockKet({('b', 'V'): 1, ('a', 'H'): 2}); "
@@ -104,9 +112,79 @@ def test_fock_ket_unpickled_from_another_interpreter_keeps_dict_lookup():
     ).stdout
     k, state = pickle.loads(blob)
     here = FockKet({Rail("b", "V"): 1, Rail("a", "H"): 2})
-    assert hash(k) == hash(here) == hash(k.occupations)
+    assert k is here
     assert {here: "found"}[k] == "found"
+    assert next(iter(state.terms)) is FockKet({Rail("a", "H"): 1})
     assert state.amplitude(FockKet({Rail("a", "H"): 1})) == 0.6
+
+
+def test_concurrent_construction_mints_one_ket_per_occupation_tuple():
+    # four threads, more than the cores, race to build the same 200 new
+    # occupation tuples, half through each constructor; each tuple must
+    # come out as one object
+    workers = 4
+    occupations = [
+        ((Rail(f"race{i}", "H"), 1), (Rail(f"race{i}", "V"), 1 + i % 3)) for i in range(200)
+    ]
+    start = threading.Barrier(workers)
+    built = [None] * workers
+
+    def build(slot):
+        start.wait(timeout=10)
+        built[slot] = [
+            FockKet(occ) if (i + slot) % 2 else FockKet._canonical(occ)
+            for i, occ in enumerate(occupations)
+        ]
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for occ, kets in zip(occupations, zip(*built)):
+        assert all(k is kets[0] for k in kets)
+        assert kets[0].occupations == occ
+
+
+def test_intern_table_holds_only_kets_something_else_holds():
+    # in a fresh interpreter: runs fill the intern table, and once their
+    # states are dropped and every package cache is cleared (the wirings
+    # of network._analyze, the interned elements and with them their
+    # stages, the literal memos, the masks), it is back to its
+    # import-time size
+    code = (
+        "import gc, importlib, pkgutil\n"
+        "import ghzgen\n"
+        "from ghzgen import states\n"
+        "before = len(states._KETS)\n"
+        "ghzgen.run_full('X@1')\n"
+        "ghzgen.run_full(sample=True, seed=5)\n"
+        "ghzgen.sweep_noise(0.3)\n"
+        "ghzgen.verify_correction_table(ghzgen.all_families())\n"
+        "ghzgen.entanglement_report()\n"
+        "during = len(states._KETS)\n"
+        "for info in pkgutil.iter_modules(ghzgen.__path__, 'ghzgen.'):\n"
+        "    if info.name != 'ghzgen.__main__':\n"
+        "        for value in vars(importlib.import_module(info.name)).values():\n"
+        "            if hasattr(value, 'cache_clear'):\n"
+        "                value.cache_clear()\n"
+        "gc.collect()\n"
+        "print(before, during, len(states._KETS))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    before, during, after = map(int, out.split())
+    assert during > before + 100
+    assert after == before
 
 
 def test_sum_in_order_rounds_after_each_addition():
@@ -936,3 +1014,33 @@ def test_property_project_occupancy_matches_the_scan(state, data):
         ref, ref_prob = oracles.reference_project_occupancy(current, groups)
         assert _bits(got) == _bits(ref)
         assert prob.hex() == ref_prob.hex()
+
+
+@given(_state_st(max_terms=6), st.data())
+def test_property_postselect_coincidence_matches_the_per_pattern_scan(state, data):
+    # the one-pass split against one project_occupancy per pattern, on a
+    # first call, on a repeat of the order with new amplitudes and on a
+    # permuted order; the last pattern keeps only the first's first group,
+    # so every ket the first pattern keeps lands in two patterns
+    kets = data.draw(st.permutations(list(state.terms)))
+    permuted = PureState._pruned((k, state.terms[k]) for k in kets)
+    group = st.tuples(
+        st.lists(st.sampled_from(_MODES), min_size=1, unique=True).map(tuple),
+        st.integers(0, 2),
+    )
+    patterns = [
+        CoincidencePattern(("x", "y", "z"), f"p{i}", tuple(groups))
+        for i, groups in enumerate(
+            data.draw(st.lists(st.lists(group, min_size=1, max_size=3), min_size=1, max_size=4))
+        )
+    ]
+    patterns.append(patterns[0]._replace(shape="wide", groups=patterns[0].groups[:1]))
+    for current in (state, state * complex(0.3, -0.7), permuted):
+        got = postselect_coincidence(current, patterns)
+        ref = oracles.reference_postselect_coincidence(current, patterns)
+        assert [(p, _bits(c), prob.hex()) for p, c, prob in got] == [
+            (p, _bits(c), prob.hex()) for p, c, prob in ref
+        ]
+    # no ket holds four photons: a state outside every pattern gives none
+    outside = CoincidencePattern(("x", "y", "z"), "none", ((_MODES, 4),))
+    assert postselect_coincidence(state, [outside]) == []
