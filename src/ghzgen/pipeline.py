@@ -287,22 +287,24 @@ def _herald(state: PureState, trigger: DetectorGroup) -> PureState:
     modes.  The rest is a heralded state only if that photon is in a
     product with it: the same polarization in every ket, and no two kets
     told apart by the trigger path alone.  Amplitudes are copied as they
-    are, in the same order.
+    are, in the same order; a ket with the trigger's entries left out is
+    still canonical, so it is looked up as it is.
     """
     modes = set(trigger.modes)
     fired = None
     rest: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
-        pols = [r.pol for r, _ in k if r.mode in modes]
+    for k, amp in state._terms.items():
+        occ = k.occupations
+        pols = [r.pol for r, _ in occ if r.mode in modes]
         if fired is None:
             fired = pols
         elif pols != fired:
             raise NetworkError(f"the {trigger.name} photon is entangled with the rest")
-        kept = FockKet((r, n) for r, n in k if r.mode not in modes)
+        kept = FockKet._canonical(tuple([e for e in occ if e[0].mode not in modes]))
         if kept in rest:
             raise NetworkError(f"two {trigger.name} paths interfere at {kept}")
         rest[kept] = amp
-    return PureState(rest)
+    return PureState._pruned(rest.items())
 
 
 # --- full runs -----------------------------------------------------------

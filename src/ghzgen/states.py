@@ -24,6 +24,15 @@ Conventions:
     patterns it meets, stages are kept for at most ``STAGE_CACHE_SIZE``
     orders, and a stage wider than ``MAX_KETS`` is refused.  ``PRUNE_TOL``
     pruning stays outside both, in ``PureState._pruned``
+  * a stage replayed ``KERNEL_AFTER`` (128) times is compiled into a
+    kernel, one generated straight-line function, unless it has more than
+    ``KERNEL_MAX_STEPS`` op steps and output sums.  A kernel skips a
+    division by 1.0 and a multiplication by 1.0 and writes an op-layer slot
+    first without adding it onto 0j; that moves only the sign of a zero
+    part of an intermediate value, and every output is still summed onto
+    0j, so a kernel's result is bit-identical to the loop replay's (see
+    ``ModeTransform.apply``).  No one-shot CLI command replays a builtin
+    stage that often; a long-running library caller does
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_occupancy`` returns the probability
     separately for exactly this reason)
@@ -55,6 +64,12 @@ MAX_KETS = 1 << 16
 # input ket orders whose stage one element keeps; the builtin circuits
 # meet at most 9 per element
 STAGE_CACHE_SIZE = 32
+# replays after which ``ModeTransform.apply`` compiles a stage into a
+# kernel; one CLI command replays a builtin stage at most 64 times
+KERNEL_AFTER = 128
+# the most op steps plus output sums a stage may have and still get a
+# kernel; a builtin stage has at most 36 op steps and 40 output sums
+KERNEL_MAX_STEPS = 2048
 # (ket order, groups) keep-masks that ``project_occupancy`` keeps, and
 # ket-order pattern assignments that ``pipeline.postselect_coincidence``
 # keeps; runs of the builtin circuits meet 2 and 9
@@ -100,6 +115,8 @@ def sum_in_order(values: Iterable[float]) -> float:
 # the one live ket per occupation tuple (see ``FockKet``)
 _KETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _KETS_LOCK = threading.Lock()
+# held while a stage is stored in, or evicted from, an element's stages
+_STAGES_LOCK = threading.Lock()
 
 
 class FockKet:
@@ -489,14 +506,41 @@ class ModeTransform:
         Amplitudes under ``PRUNE_TOL`` are dropped afterwards, by
         ``PureState._pruned``, never inside a stage.
 
+        A stage replayed ``KERNEL_AFTER`` times is compiled into a kernel
+        (``_kernel``), one straight-line function of the input amplitudes
+        that takes the stage's place, unless it has more than
+        ``KERNEL_MAX_STEPS`` op steps and output sums.  The kernel runs the
+        same operations in the same order with three rewrites: it skips a
+        division by 1.0 and a multiplication by a ``sq`` of 1.0, and it
+        writes an op-layer slot first by plain assignment instead of onto
+        0j.  On finite amplitudes each rewrite changes at most the sign of
+        a zero part of an intermediate value: CPython 3.10 to 3.13 widen
+        the float 1.0 to the complex 1+0j, whose zero part only adds to
+        each part of the result a product with a finite number, itself a
+        zero, and ``0j + x`` differs from ``x`` only where a part of ``x``
+        is -0.0.  A nonzero result never depends on the sign of a zero
+        operand, so the signs stay on zeros.  Every output slot is still
+        written first onto 0j, which turns a -0.0 part into 0.0, so the
+        output is bit-identical to the loop replay's, and it is pruned by
+        the same ``PureState._pruned``.
+
         An order whose stage would reach more than ``MAX_KETS`` output
         kets raises ``NetworkError`` naming this element, before any
         arithmetic."""
         terms = state._terms
         order = tuple(terms)
-        stage = self._stages.get(order)
-        if stage is None:
-            stage = self._stage(order)
+        record = self._stages.get(order)
+        if record is None:
+            record = self._stage(order)
+        stage = record[1]
+        if stage.__class__ is not tuple:
+            return stage(*terms.values())
+        uses = record[0]
+        if uses >= KERNEL_AFTER and len(stage[3]) + len(stage[4]) <= KERNEL_MAX_STEPS:
+            # a thread replaying the tuple meanwhile still gets the same bits
+            record[1] = kernel = _kernel(stage)
+            return kernel(*terms.values())
+        record[0] = uses + 1
         size, width, divs, ops, sums, outs = stage
         buf = [0j] * size
         buf[width : width + len(divs)] = [a / d for a, d in zip(terms.values(), divs)]
@@ -526,8 +570,13 @@ class ModeTransform:
         of all op layers renumbered into the buffer, the ``(output slot,
         last-layer slot)`` sums, and the output kets.  A rail on an output
         of this element raises ``ValueError`` and an output past
-        ``MAX_KETS`` raises ``NetworkError``; either stores no stage.  When
-        ``STAGE_CACHE_SIZE`` stages are kept, the oldest is dropped."""
+        ``MAX_KETS`` raises ``NetworkError``; either stores no stage.
+
+        It is stored as ``[uses, stage]``, the replays so far and the stage
+        or, once ``apply`` compiles it, its kernel.  When
+        ``STAGE_CACHE_SIZE`` stages are kept, the oldest is dropped.  The
+        eviction and the insert run under one lock, and an order another
+        thread stored meanwhile is returned as stored."""
         rail_index = self._rail_index
         patterns = self._patterns
         index: dict[FockKet, int] = {}
@@ -577,18 +626,26 @@ class ModeTransform:
                 base = size
                 size += w
             sums += zip(slots, range(base, base + len(slots)))
+        record = [
+            0,
+            (
+                size,
+                width,
+                tuple([div for div, _, _ in kets]),
+                tuple(ops),
+                tuple(sums),
+                tuple(index),
+            ),
+        ]
         stages = self._stages
-        if len(stages) >= STAGE_CACHE_SIZE:
-            del stages[next(iter(stages))]
-        stage = stages[order] = (
-            size,
-            width,
-            tuple([div for div, _, _ in kets]),
-            tuple(ops),
-            tuple(sums),
-            tuple(index),
-        )
-        return stage
+        with _STAGES_LOCK:
+            stored = stages.get(order)
+            if stored is not None:
+                return stored
+            if len(stages) >= STAGE_CACHE_SIZE:
+                del stages[next(iter(stages))]
+            stages[order] = record
+        return record
 
     def _pattern_plan(self, pattern: tuple[tuple[int, int], ...]) -> tuple:
         """The plan of the sorted (input index, count) ``pattern``, shared
@@ -627,6 +684,59 @@ class ModeTransform:
             [(out_rails[i], m) for i, m in enumerate(occ) if m] for occ in occs
         )
         return math.sqrt(norm_div), tuple(layers), out_entries
+
+
+def _kernel(stage: tuple):
+    """Compile ``stage`` into its kernel: a function of the input
+    amplitudes, in ket order, that returns the state ``apply``'s loop
+    replay returns, bit for bit (see ``apply``).
+
+    Slot ``i`` of the stage's buffer is the local ``s<i>``.  The kernel
+    divides each input local whose divisor is not 1.0; runs the op steps in
+    stage order, leaving out ``* sq`` where ``sq`` is 1.0 and writing each
+    op-layer slot first by plain assignment; and sums each output onto 0j,
+    in stage order, inside the tuple it zips with the output kets into
+    ``PureState._pruned``, as the loop replay does.  (Pruning inline, one
+    test per output, replays faster but doubles the source, and the
+    compiles of a long run then raised its peak RSS twice as much.)  The
+    constants (matrix entries, square roots, divisors, the output kets,
+    0j, ``PureState._pruned``) are bound through a closure, never printed:
+    the source holds only identifiers and integers, so no bits pass
+    through a ``repr`` and no rail name reaches it."""
+    _, width, divs, ops, sums, outs = stage
+    names: dict[int, str] = {}
+    values: list = []
+
+    def const(value) -> str:
+        name = names.get(id(value))
+        if name is None:
+            name = names[id(value)] = f"c{len(values)}"
+            values.append(value)
+        return name
+
+    inputs = range(width, width + len(divs))
+    body = [f"s{slot} = s{slot} / {const(d)}" for slot, d in zip(inputs, divs) if d != 1.0]
+    written: set[int] = set()
+    for dst, src, u, sq in ops:
+        step = f"s{src} * {const(u)}" if sq == 1.0 else f"s{src} * {const(u)} * {const(sq)}"
+        body.append(f"s{dst} = s{dst} + {step}" if dst in written else f"s{dst} = {step}")
+        written.add(dst)
+    terms = [[const(0j)] for _ in outs]
+    for dst, src in sums:
+        terms[dst].append(f"s{src}")
+    amps = "".join(f"{' + '.join(t)}, " for t in terms)
+    body.append(f"return {const(PureState._pruned)}(zip({const(outs)}, ({amps})))")
+    source = "\n".join(
+        [
+            f"def make({', '.join(names.values())}):",
+            f"    def kernel({', '.join(f's{slot}' for slot in inputs)}):",
+            *[f"        {line}" for line in body],
+            "    return kernel",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<stage kernel>", "exec"), namespace)
+    return namespace["make"](*values)
 
 
 def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:

@@ -799,6 +799,47 @@ def test_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids="_".join)
+def test_golden_stdout_with_every_stage_compiled(monkeypatch, capsys, argv):
+    # KERNEL_AFTER at 0, on fresh elements: every apply, first sight
+    # included, runs a kernel
+    for make in (make_bs, make_hwp45, make_hwp90, make_pbs, make_route):
+        make.cache_clear()
+    monkeypatch.setattr("ghzgen.states.KERNEL_AFTER", 0)
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_no_cli_command_compiles_a_kernel():
+    # a one-shot command replays a builtin stage at most 64 times (the
+    # sweep), fewer than KERNEL_AFTER: none pays for a compile.  Every
+    # package cache is cleared between commands, so each meets fresh
+    # elements, as in an interpreter of its own
+    code = (
+        "import contextlib, importlib, io, pkgutil\n"
+        "import ghzgen\n"
+        "from ghzgen import cli, states\n"
+        "compiled = []\n"
+        "kernel = states._kernel\n"
+        "states._kernel = lambda stage: compiled.append(stage) or kernel(stage)\n"
+        f"for argv in {list(GOLDEN_STDOUT)!r}:\n"
+        "    for info in pkgutil.iter_modules(ghzgen.__path__, 'ghzgen.'):\n"
+        "        if info.name != 'ghzgen.__main__':\n"
+        "            for value in vars(importlib.import_module(info.name)).values():\n"
+        "                if hasattr(value, 'cache_clear'):\n"
+        "                    value.cache_clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(len(compiled))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
+    ).stdout
+    assert out.split() == ["0"] * len(GOLDEN_STDOUT)
+
+
 # runs the command once unseen, then builds every ket it met again, in
 # reverse order, in a new intern table while the old kets are still held,
 # so that fresh memory gives them addresses in the reverse order; with

@@ -194,45 +194,71 @@ def test_library_output_is_bit_exact():
     )
 
 
-def test_library_requests_do_a_fixed_amount_of_work():
-    # the same 240 requests in a fresh interpreter, counting the stages and
-    # count-pattern plans ModeTransform builds, the keep-masks
-    # project_occupancy builds and the pattern assignments
-    # postselect_coincidence builds.  The counts depend on the circuits and
-    # the request mix alone; a change that moves one re-records it with its
-    # reason
+# a fresh interpreter's preamble: the package from src, the benchmark's
+# workloads module from argv[1] and the builtin networks as it loads them
+_LIBRARY_CHILD = (
+    "import hashlib, importlib.util, itertools, sys\n"
+    "import ghzgen\n"
+    "from ghzgen import pipeline, states\n"
+    "from ghzgen.dsl import builtin_text, elaborate, parse\n"
+    "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+    "workloads = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(workloads)\n"
+    "networks = {n: elaborate(parse(builtin_text(n)), name=n) for n in ('fig1', 'fig3')}\n"
+    "requests = itertools.chain.from_iterable(workloads.rounds('library-varied', 3))\n"
+)
+
+
+def _library_child(code: str) -> str:
+    """Stdout of ``code`` run after ``_LIBRARY_CHILD`` in a fresh
+    interpreter."""
     root = Path(__file__).resolve().parents[1]
-    code = (
-        "import importlib.util, itertools, sys\n"
-        "import ghzgen\n"
-        "from ghzgen import pipeline, states\n"
-        "from ghzgen.dsl import builtin_text, elaborate, parse\n"
-        "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
-        "workloads = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(workloads)\n"
-        "built = {'_stage': 0, '_pattern_plan': 0}\n"
-        "def counted(name, method):\n"
-        "    def wrapper(*args):\n"
-        "        built[name] += 1\n"
-        "        return method(*args)\n"
-        "    return wrapper\n"
-        "for name in built:\n"
-        "    setattr(states.ModeTransform, name, counted(name, getattr(states.ModeTransform, name)))\n"
-        "networks = {n: elaborate(parse(builtin_text(n)), name=n) for n in ('fig1', 'fig3')}\n"
-        "requests = itertools.chain.from_iterable(workloads.rounds('library-varied', 3))\n"
-        "for kind, params in itertools.islice(requests, 240):\n"
-        "    workloads.call_library(ghzgen, networks, kind, params)\n"
-        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses,\n"
-        "      pipeline._pattern_kets.cache_info().misses)\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(root / "benchmarks" / "workloads.py")],
+    return subprocess.run(
+        [sys.executable, "-c", _LIBRARY_CHILD + code, str(root / "benchmarks" / "workloads.py")],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
         check=True,
     ).stdout
-    stages, pattern_plans, mask_builds, assignments = map(int, out.split())
-    assert (stages, pattern_plans, mask_builds, assignments) == (98, 104, 2, 9)
+
+
+def test_library_requests_do_a_fixed_amount_of_work():
+    # the same 240 requests in a fresh interpreter, counting the stages and
+    # count-pattern plans ModeTransform builds, the keep-masks
+    # project_occupancy builds, the pattern assignments
+    # postselect_coincidence builds and the stages apply compiles into
+    # kernels.  The counts depend on the circuits and the request mix
+    # alone; a change that moves one re-records it with its reason
+    out = _library_child(
+        "built = {'_stage': 0, '_pattern_plan': 0, '_kernel': 0}\n"
+        "def counted(name, method):\n"
+        "    def wrapper(*args):\n"
+        "        built[name] += 1\n"
+        "        return method(*args)\n"
+        "    return wrapper\n"
+        "for name in ('_stage', '_pattern_plan'):\n"
+        "    setattr(states.ModeTransform, name, counted(name, getattr(states.ModeTransform, name)))\n"
+        "states._kernel = counted('_kernel', states._kernel)\n"
+        "for kind, params in itertools.islice(requests, 240):\n"
+        "    workloads.call_library(ghzgen, networks, kind, params)\n"
+        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses,\n"
+        "      pipeline._pattern_kets.cache_info().misses, built['_kernel'])\n"
+    )
+    stages, pattern_plans, mask_builds, assignments, kernels = map(int, out.split())
+    assert (stages, pattern_plans, mask_builds, assignments, kernels) == (98, 104, 2, 9, 32)
+
+
+def test_library_output_is_bit_exact_with_every_stage_compiled():
+    # test_library_output_is_bit_exact in a fresh interpreter with
+    # KERNEL_AFTER at 0: every apply, first sight included, runs a kernel
+    out = _library_child(
+        "states.KERNEL_AFTER = 0\n"
+        "digest = hashlib.sha256()\n"
+        "for kind, params in itertools.islice(requests, 240):\n"
+        "    result = workloads.call_library(ghzgen, networks, kind, params)\n"
+        "    digest.update(workloads.canonical_library_output(result))\n"
+        "print(digest.hexdigest())\n"
+    )
+    assert out.split() == ["a55699c205702b21316061336fb4a64c05f57b8007a08b0cee5c5c87eb87c272"]

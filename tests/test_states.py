@@ -1,5 +1,6 @@
 """Sparse Fock-state engine: containers, algebra, evolution, reductions."""
 
+import io
 import math
 import os
 import pickle
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,15 @@ from ghzgen import (
 )
 from ghzgen.dsl import builtin_text
 from ghzgen.pipeline import _herald
-from ghzgen.states import ISOMETRY_TOL, STAGE_CACHE_SIZE, compose, sum_in_order, to_json_terms
+from ghzgen.states import (
+    ISOMETRY_TOL,
+    KERNEL_AFTER,
+    KERNEL_MAX_STEPS,
+    STAGE_CACHE_SIZE,
+    compose,
+    sum_in_order,
+    to_json_terms,
+)
 
 import oracles
 from oracles import states_close
@@ -994,6 +1004,164 @@ def test_apply_refuses_a_stage_past_the_ket_budget(monkeypatch):
     assert not h._stages
     monkeypatch.setattr("ghzgen.states.MAX_KETS", 4)
     _replayed(h, state)
+
+
+def _compiled(transform, state) -> bool:
+    """Whether the stage of ``state``'s ket order holds a kernel."""
+    return transform._stages[tuple(state.terms)][1].__class__ is not tuple
+
+
+def _past_the_cap(transform, state) -> bool:
+    """Whether the uncompiled stage of ``state``'s ket order has more op
+    steps and output sums than a kernel may have."""
+    _, _, _, ops, sums, _ = transform._stages[tuple(state.terms)][1]
+    return len(ops) + len(sums) > KERNEL_MAX_STEPS
+
+
+@given(st.one_of(_state_st(max_photons=4), _doubled_state_st()), _transform_st(), st.data())
+def test_property_kernels_are_bit_exact_to_reference(state, transform, data):
+    # with KERNEL_AFTER at 0 every apply, first sight included, runs a
+    # kernel: on the state, on new amplitudes with signed zeros and a
+    # cancellation far below PRUNE_TOL, on a permuted order and on the
+    # empty state.  A stage past KERNEL_MAX_STEPS keeps the loop replay
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ghzgen.states.KERNEL_AFTER", 0)
+        _replayed(transform, state)
+        assert _compiled(transform, state) or _past_the_cap(transform, state)
+        _replayed(transform, _replay_state(data, transform, state))
+        kets = data.draw(st.permutations(list(state.terms)))
+        permuted = PureState._pruned((k, state.terms[k]) for k in kets)
+        _replayed(transform, _replay_state(data, transform, permuted))
+        assert _compiled(transform, permuted) or _past_the_cap(transform, permuted)
+        _replayed(transform, PureState())
+        assert _compiled(transform, PureState())
+
+
+def test_kernel_prunes_a_cancellation_below_prune_tol(monkeypatch):
+    # as test_apply_replays_a_cancellation_below_prune_tol, through a
+    # kernel compiled on the order's first sight
+    monkeypatch.setattr("ghzgen.states.KERNEL_AFTER", 0)
+    h = _hadamard("a")
+    kh, kv = FockKet({Rail("a", "H"): 1}), FockKet({Rail("a", "V"): 1})
+    spectator = FockKet({Rail("b", "V"): 2})
+    h.apply(PureState({kh: 0.8, kv: 0.6, spectator: 0.1}))
+    state = PureState({kh: 0.6, kv: 0.6 * (1 + 1e-13), spectator: -0.1j})
+    assert _compiled(h, state)
+    out = h.apply(state)
+    assert list(out.terms) == [kh, spectator]
+    assert _bits(out) == _bits(oracles.reference_apply(h, state))
+
+
+def test_apply_compiles_a_stage_after_kernel_after_replays():
+    # the loop replays an order KERNEL_AFTER times, then the next apply
+    # compiles it in place, in the same stages entry
+    h = _hadamard("a")
+    state = ket(("a", "H"), amp=0.8) + ket(("a", "V"), ("b", "H"), amp=0.6)
+    for _ in range(KERNEL_AFTER):
+        _replayed(h, state)
+    (record,) = h._stages.values()
+    assert record[0] == KERNEL_AFTER and not _compiled(h, state)
+    _replayed(h, state)
+    assert h._stages[tuple(state.terms)] is record and _compiled(h, state)
+    _replayed(h, state * -0.5j)
+
+
+def test_a_stage_past_the_kernel_cap_is_never_compiled(monkeypatch):
+    # a Hadamard on one ket (two op steps, two output sums) beside n
+    # spectators (one sum each): at the cap it compiles, one past it never
+    monkeypatch.setattr("ghzgen.states.KERNEL_AFTER", 0)
+    lead = FockKet({Rail("a", "H"): 1})
+    for n, compiled in ((KERNEL_MAX_STEPS - 4, True), (KERNEL_MAX_STEPS - 3, False)):
+        h = _hadamard("a")
+        spectators = [FockKet({Rail(f"cap{i}", "V"): 1}) for i in range(n)]
+        state = PureState._pruned([(lead, 0.6)] + [(k, 0.01) for k in spectators])
+        for _ in range(2):
+            _replayed(h, state)
+            assert _compiled(h, state) == compiled
+
+
+def test_kernel_source_holds_only_identifiers_and_integers(monkeypatch):
+    # every constant, rail names included, reaches the kernel through its
+    # closure; the source a kernel is compiled from prints none of them
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr("ghzgen.states.KERNEL_AFTER", 0)
+    monkeypatch.setattr("ghzgen.states.compile", spy, raising=False)
+    rails = (Rail("secret", "H"), Rail("secret", "V"))
+    bs = ModeTransform("leak", rails, rails, np.array([[0.6, 0.8j], [0.8j, 0.6]]))
+    state = ket(("secret", "H"), ("secret", "H"), amp=0.6) + ket(("spy", "V"), amp=0.8)
+    _replayed(bs, state)
+    (source,) = sources
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    kinds = {tokenize.tok_name[t.type] for t in tokens}
+    assert kinds <= {"NAME", "OP", "NUMBER", "NEWLINE", "INDENT", "DEDENT", "ENDMARKER"}
+    assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER)
+    assert "secret" not in source and "spy" not in source
+
+
+def _in_threads(work, workers=4):
+    """Run ``work(slot)`` on ``workers`` threads at once, switching
+    between them every microsecond; returns what they raised."""
+    start = threading.Barrier(workers)
+    raised = []
+
+    def run(slot):
+        start.wait(timeout=10)
+        try:
+            work(slot)
+        except Exception as exc:
+            # the test asserts that none was raised
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return raised
+
+
+def test_threads_sharing_an_element_keep_its_stage_bound():
+    # four threads push 3,000 fresh ket orders each through one interned
+    # splitter: stages are stored and evicted under one lock, so no
+    # eviction fails and the bound holds
+    pbs = make_pbs("race_in", None, "race_t", "race_r")
+    lead = FockKet({Rail("race_in", "H"): 1})
+
+    def work(slot):
+        for i in range(3000):
+            spectator = FockKet({Rail(f"race{slot}_{i}", "V"): 1})
+            pbs.apply(PureState._pruned([(spectator, 0.6), (lead, 0.8)]))
+
+    assert _in_threads(work) == []
+    assert len(pbs._stages) <= STAGE_CACHE_SIZE
+
+
+def test_threads_replaying_one_order_past_kernel_after_agree_bit_for_bit():
+    # four threads replay one order twice KERNEL_AFTER times each, racing
+    # to compile its kernel: every result is the reference's, bit for bit
+    h = _hadamard("a")
+    state = ket(("a", "H"), amp=0.8) + ket(("a", "V"), ("a", "H"), amp=-0.6j)
+    expected = _bits(oracles.reference_apply(h, state))
+    results = [[] for _ in range(4)]
+
+    def work(slot):
+        for _ in range(2 * KERNEL_AFTER):
+            results[slot].append(_bits(h.apply(state)))
+
+    assert _in_threads(work) == []
+    assert all(got == [expected] * (2 * KERNEL_AFTER) for got in results)
+    assert _compiled(h, state)
 
 
 @given(_state_st(max_terms=6), st.data())
