@@ -27,7 +27,6 @@ from .elements import make_hwp90
 from .network import (
     CircuitNetwork,
     CoincidencePattern,
-    DetectorGroup,
     NetworkError,
     NetworkSettings,
     analyze,
@@ -54,15 +53,15 @@ from .qnd import (
 )
 from .source import CaseWeights, dual_pass_emission
 from .states import (
-    MASK_CACHE_SIZE,
-    FockKet,
     ModeTransform,
     PureState,
     compose,
     entanglement_summary,
     fidelity,
+    herald,
     ket,
     phase_fixed,
+    project_each,
     project_occupancy,
     sum_in_order,
 )
@@ -165,42 +164,17 @@ def postselect_coincidence(
 
     Requires exactly one photon in the fired mode and zero in the silent
     partner of every pair.  Returns only patterns with nonzero
-    probability, each with its normalized conditional state.
-
-    The input norm is taken once, and which kets each pattern keeps
-    comes from ``_pattern_kets``, memoized on the ket order and the
-    groups.  Each conditional is built as ``project_occupancy`` builds
-    it, from the kept kets in the input's order, so the states and
-    probabilities are bit-identical to projecting once per pattern.
+    probability, each with its normalized conditional state, from one
+    ``project_each`` over every pattern's groups: the input norm is taken
+    once, and the states and probabilities are bit-identical to one
+    ``project_occupancy`` per pattern.
     """
-    terms = state._terms
-    total = state.norm() ** 2
-    if total == 0.0:
-        return []
-    items = list(terms.items())
-    results = []
-    selected = _pattern_kets(tuple(terms), tuple(p.groups for p in patterns))
-    for pattern, positions in zip(patterns, selected):
-        projected = PureState([items[i] for i in positions])
-        if projected.is_zero():
-            continue
-        prob = projected.norm() ** 2 / total
-        if prob > 0.0:
-            results.append((pattern, projected.normalized(), prob))
-    return results
-
-
-@lru_cache(maxsize=MASK_CACHE_SIZE)
-def _pattern_kets(
-    kets: tuple[FockKet, ...], groups: tuple[tuple[tuple[Sequence[str], int], ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Per pattern's ``groups``, the positions in ``kets`` of the kets
-    holding exactly ``count`` photons in each of its ``(modes, count)``
-    groups, in ket order.  A ket may land in more than one pattern."""
-    return tuple(
-        tuple(i for i, k in enumerate(kets) if all(k.count_in_modes(m) == n for m, n in g))
-        for g in groups
-    )
+    projections = project_each(state, tuple(p.groups for p in patterns))
+    return [
+        (pattern, conditional, prob)
+        for pattern, (conditional, prob) in zip(patterns, projections)
+        if prob > 0.0
+    ]
 
 
 def apply_corrections(
@@ -266,7 +240,7 @@ def branch_states(
         state = compose(fan_out, feed_forward(outcome))
         conditional, prob = project_occupancy(state, groups)
         if prob != 0.0:
-            conditional = _herald(conditional, trigger)
+            conditional = herald(conditional, trigger.modes, trigger.name)
         results.append(
             BranchState(
                 outcome=outcome, conditional=conditional, coincidence_probability=prob
@@ -278,33 +252,6 @@ def branch_states(
 def passing(branches: Sequence[BranchState]) -> list[BranchState]:
     """The ``branches`` that pass fourfold coincidence, in order."""
     return [bs for bs in branches if bs.coincidence_probability != 0.0]
-
-
-def _herald(state: PureState, trigger: DetectorGroup) -> PureState:
-    """Drop the trigger photon from every ket of a coincidence conditional.
-
-    ``project_occupancy`` has left exactly one photon on the trigger's
-    modes.  The rest is a heralded state only if that photon is in a
-    product with it: the same polarization in every ket, and no two kets
-    told apart by the trigger path alone.  Amplitudes are copied as they
-    are, in the same order; a ket with the trigger's entries left out is
-    still canonical, so it is looked up as it is.
-    """
-    modes = set(trigger.modes)
-    fired = None
-    rest: dict[FockKet, complex] = {}
-    for k, amp in state._terms.items():
-        occ = k.occupations
-        pols = [r.pol for r, _ in occ if r.mode in modes]
-        if fired is None:
-            fired = pols
-        elif pols != fired:
-            raise NetworkError(f"the {trigger.name} photon is entangled with the rest")
-        kept = FockKet._canonical(tuple([e for e in occ if e[0].mode not in modes]))
-        if kept in rest:
-            raise NetworkError(f"two {trigger.name} paths interfere at {kept}")
-        rest[kept] = amp
-    return PureState._pruned(rest.items())
 
 
 # --- full runs -----------------------------------------------------------
@@ -491,30 +438,31 @@ def _draw_sample(entries, outcomes, rng) -> tuple[list[RunEntry], dict]:
         raise NetworkError(
             "no branch passes the fourfold coincidence; there is nothing to sample"
         )
-    r = float(rng.random())
-    acc = 0.0
-    chosen = outcomes[-1].outcome
-    for bs in outcomes:
-        acc += bs.outcome.probability
-        if r < acc:
-            chosen = bs.outcome
-            break
+    chosen = _pick(
+        [bs.outcome for bs in outcomes],
+        [bs.outcome.probability for bs in outcomes],
+        float(rng.random()),
+    )
     drawn = [e for e in entries if e.branch == chosen.branch]
     candidates = [e for e in drawn if e.pattern is not None]
     sampled: dict = {"branch": chosen.branch, "x": chosen.x, "phi": chosen.phi}
     if candidates:
-        total = sum_in_order(e.pattern_probability for e in candidates)
-        r = float(rng.random()) * total
-        acc = 0.0
-        entry = candidates[-1]
-        for e in candidates:
-            acc += e.pattern_probability
-            if r < acc:
-                entry = e
-                break
+        weights = [e.pattern_probability for e in candidates]
+        entry = _pick(candidates, weights, float(rng.random()) * sum_in_order(weights))
         sampled["pattern"] = entry.pattern.label
         drawn = [entry]
     return drawn, sampled
+
+
+def _pick(items: Sequence, weights: Sequence[float], r: float):
+    """The first of ``items`` at which the running sum of ``weights``
+    exceeds ``r``, or the last item when none does (rounding)."""
+    acc = 0.0
+    for item, weight in zip(items, weights):
+        acc += weight
+        if r < acc:
+            return item
+    return items[-1]
 
 
 def _no_mixed_pass(network: CircuitNetwork, needs: str) -> NetworkError:

@@ -34,8 +34,10 @@ Conventions:
     ``ModeTransform.apply``).  No one-shot CLI command replays a builtin
     stage that often; a long-running library caller does
   * nothing is renormalized implicitly; callers decide when a state is a
-    conditional state (``project_occupancy`` returns the probability
-    separately for exactly this reason)
+    conditional state (``project_each`` and ``project_occupancy`` return
+    the probability separately for exactly this reason).  Which kets a
+    projection keeps is memoized once, in ``_selection``, per ket order
+    and group sets, for at most ``MASK_CACHE_SIZE`` entries
   * the state algebra and the element matrices are plain Python; numpy is
     imported only by ``entanglement_summary``, when it runs
 """
@@ -70,9 +72,9 @@ KERNEL_AFTER = 128
 # the most op steps plus output sums a stage may have and still get a
 # kernel; a builtin stage has at most 36 op steps and 40 output sums
 KERNEL_MAX_STEPS = 2048
-# (ket order, groups) keep-masks that ``project_occupancy`` keeps, and
-# ket-order pattern assignments that ``pipeline.postselect_coincidence``
-# keeps; runs of the builtin circuits meet 2 and 9
+# (ket order, group sets) selections that ``project_each`` keeps, for
+# ``project_occupancy`` and ``pipeline.postselect_coincidence`` alike;
+# runs of the builtin circuits meet 11
 MASK_CACHE_SIZE = 256
 
 
@@ -748,39 +750,85 @@ def compose(transforms: Sequence[ModeTransform], state: PureState) -> PureState:
 # --- projections ---------------------------------------------------------
 
 
+def project_each(
+    state: PureState, group_sets: Iterable[Sequence[tuple[Iterable[str], int]]]
+) -> list[tuple[PureState, float]]:
+    """Project ``state`` once per set of ``(modes, count)`` groups onto the
+    kets holding exactly ``count`` photons in each group of spatial modes.
+    Per set, returns (normalized conditional state, probability), or (zero
+    state, 0.0) when the set keeps no ket; probability is relative to the
+    squared norm of the input, which is taken once.
+
+    Which kets pass depends on the ket order and the groups alone, so the
+    selection is memoized on both (``_selection``); the amplitudes are
+    read on every call.  Each conditional is built from the kept kets in
+    the input's order."""
+    resolved = tuple(
+        [
+            tuple([(frozenset(modes), int(count)) for modes, count in groups])
+            for groups in group_sets
+        ]
+    )
+    terms = state._terms
+    items = list(terms.items())
+    total = state.norm() ** 2
+    results = []
+    for positions in _selection(tuple(terms), resolved):
+        projected = PureState([items[i] for i in positions])
+        if projected.is_zero():
+            results.append((projected, 0.0))
+        else:
+            results.append((projected.normalized(), projected.norm() ** 2 / total))
+    return results
+
+
 def project_occupancy(
     state: PureState, groups: Sequence[tuple[Iterable[str], int]]
 ) -> tuple[PureState, float]:
-    """Project onto kets holding exactly ``count`` photons in each group of
-    spatial modes.  Returns (normalized conditional state, probability);
-    probability is relative to the squared norm of the input.
-
-    Which kets pass depends on the ket order and the groups alone, so the
-    selection is memoized on both (``_keep_mask``); the amplitudes are
-    read on every call."""
-    resolved = tuple((frozenset(modes), int(count)) for modes, count in groups)
-    terms = state._terms
-    mask = _keep_mask(tuple(terms), resolved)
-    kept = {k: amp for keep, (k, amp) in zip(mask, terms.items()) if keep}
-    total = state.norm() ** 2
-    if total == 0.0:
-        return PureState(), 0.0
-    projected = PureState(kept)
-    prob = projected.norm() ** 2 / total
-    if projected.is_zero():
-        return projected, 0.0
-    return projected.normalized(), prob
+    """``project_each`` on the one set ``groups``: (normalized conditional
+    state, probability relative to the squared norm of the input)."""
+    return project_each(state, (groups,))[0]
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
-def _keep_mask(
-    kets: tuple[FockKet, ...], groups: tuple[tuple[frozenset[str], int], ...]
-) -> tuple[bool, ...]:
-    """Per ket of ``kets``, whether it holds exactly ``count`` photons in
-    each ``(modes, count)`` group."""
+def _selection(
+    kets: tuple[FockKet, ...], group_sets: tuple[tuple[tuple[frozenset[str], int], ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Per set of ``group_sets``, the positions in ``kets`` of the kets
+    holding exactly ``count`` photons in each of its ``(modes, count)``
+    groups, in ket order.  A ket may land in more than one set."""
     return tuple(
-        [all(k.count_in_modes(modes) == count for modes, count in groups) for k in kets]
+        tuple(i for i, k in enumerate(kets) if all(k.count_in_modes(m) == n for m, n in g))
+        for g in group_sets
     )
+
+
+def herald(state: PureState, modes: Iterable[str], name: str) -> PureState:
+    """Drop the photon of detector ``name`` on ``modes`` from every ket of a
+    coincidence conditional.
+
+    ``project_occupancy`` has left exactly one photon on ``modes``.  The
+    rest is a heralded state only if that photon is in a product with it:
+    the same polarization in every ket, and no two kets told apart by the
+    detector's path alone; otherwise ``NetworkError``.  Amplitudes are
+    copied as they are, in the same order; a ket with the detector's
+    entries left out is still canonical, so it is looked up as it is.
+    """
+    modes = set(modes)
+    fired = None
+    rest: dict[FockKet, complex] = {}
+    for k, amp in state._terms.items():
+        occ = k.occupations
+        pols = [r.pol for r, _ in occ if r.mode in modes]
+        if fired is None:
+            fired = pols
+        elif pols != fired:
+            raise NetworkError(f"the {name} photon is entangled with the rest")
+        kept = FockKet._canonical(tuple([e for e in occ if e[0].mode not in modes]))
+        if kept in rest:
+            raise NetworkError(f"two {name} paths interfere at {kept}")
+        rest[kept] = amp
+    return PureState._pruned(rest.items())
 
 
 # --- polarization-versus-path entanglement -------------------------------

@@ -226,11 +226,11 @@ def _library_child(code: str) -> str:
 
 def test_library_requests_do_a_fixed_amount_of_work():
     # the same 240 requests in a fresh interpreter, counting the stages and
-    # count-pattern plans ModeTransform builds, the keep-masks
-    # project_occupancy builds, the pattern assignments
-    # postselect_coincidence builds and the stages apply compiles into
-    # kernels.  The counts depend on the circuits and the request mix
-    # alone; a change that moves one re-records it with its reason
+    # count-pattern plans ModeTransform builds, the ket selections
+    # project_each builds (for project_occupancy and postselect_coincidence
+    # alike) and the stages apply compiles into kernels.  The counts
+    # depend on the circuits and the request mix alone; a change that
+    # moves one re-records it with its reason
     out = _library_child(
         "built = {'_stage': 0, '_pattern_plan': 0, '_kernel': 0}\n"
         "def counted(name, method):\n"
@@ -243,11 +243,11 @@ def test_library_requests_do_a_fixed_amount_of_work():
         "states._kernel = counted('_kernel', states._kernel)\n"
         "for kind, params in itertools.islice(requests, 240):\n"
         "    workloads.call_library(ghzgen, networks, kind, params)\n"
-        "print(built['_stage'], built['_pattern_plan'], states._keep_mask.cache_info().misses,\n"
-        "      pipeline._pattern_kets.cache_info().misses, built['_kernel'])\n"
+        "print(built['_stage'], built['_pattern_plan'], states._selection.cache_info().misses,\n"
+        "      built['_kernel'])\n"
     )
-    stages, pattern_plans, mask_builds, assignments, kernels = map(int, out.split())
-    assert (stages, pattern_plans, mask_builds, assignments, kernels) == (98, 104, 2, 9, 32)
+    stages, pattern_plans, selections, kernels = map(int, out.split())
+    assert (stages, pattern_plans, selections, kernels) == (98, 104, 11, 32)
 
 
 def test_library_output_is_bit_exact_with_every_stage_compiled():

@@ -42,13 +42,14 @@ from ghzgen import (
     tag_phases,
 )
 from ghzgen.dsl import builtin_text
-from ghzgen.pipeline import _herald
 from ghzgen.states import (
     ISOMETRY_TOL,
     KERNEL_AFTER,
     KERNEL_MAX_STEPS,
     STAGE_CACHE_SIZE,
     compose,
+    herald,
+    project_each,
     sum_in_order,
     to_json_terms,
 )
@@ -435,7 +436,7 @@ def test_merge_rejects_ket_identification():
     # trigger paths would interfere; that is rejected, not summed
     s = ket(("t1", "H"), ("x", "H")) + ket(("t2", "H"), ("x", "H"))
     with pytest.raises(NetworkError, match="interfere"):
-        _herald(s, _TRIGGER)
+        herald(s, _TRIGGER.modes, _TRIGGER.name)
 
 
 def test_herald_keeps_channel_mode_named_like_trigger():
@@ -458,7 +459,7 @@ def test_herald_keeps_channel_mode_named_like_trigger():
 def test_merge_valid_disjoint_support():
     # kets that fired different trigger paths stay apart by their channel part
     s = ket(("t1", "H"), ("x", "V"), amp=0.6) + ket(("t2", "H"), ("y", "V"), amp=-0.8j)
-    out = _herald(s, _TRIGGER)
+    out = herald(s, _TRIGGER.modes, _TRIGGER.name)
     assert list(out.terms.items()) == [
         (FockKet({Rail("x", "V"): 1}), 0.6),
         (FockKet({Rail("y", "V"): 1}), -0.8j),
@@ -467,7 +468,7 @@ def test_merge_valid_disjoint_support():
 
 def test_herald_drops_trigger_from_product():
     s = ket(("t1", "H")).product(ket(("a", "H")) + ket(("a", "V"), amp=-(2**-0.5)))
-    rest = _herald(s, _TRIGGER)
+    rest = herald(s, _TRIGGER.modes, _TRIGGER.name)
     # amplitudes are copied as they are, in the same order
     assert list(rest.terms) == [FockKet({Rail("a", p): 1}) for p in "HV"]
     assert list(rest.terms.values()) == list(s.terms.values())
@@ -477,7 +478,7 @@ def test_herald_rejects_entangled_trigger():
     for other in ("t1", "t2"):
         s = ket(("t1", "H"), ("a", "H")) + ket((other, "V"), ("a", "V"))
         with pytest.raises(NetworkError, match="entangled"):
-            _herald(s, _TRIGGER)
+            herald(s, _TRIGGER.modes, _TRIGGER.name)
 
 
 # two positions, one photon each, on an upper (u) or a lower (l) path
@@ -1182,6 +1183,13 @@ def test_property_project_occupancy_matches_the_scan(state, data):
         ref, ref_prob = oracles.reference_project_occupancy(current, groups)
         assert _bits(got) == _bits(ref)
         assert prob.hex() == ref_prob.hex()
+    # several sets at once, one of which keeps nothing (no ket holds four
+    # photons), on the state and on the zero state: each set as if alone
+    group_sets = [groups, groups[:1], [(_MODES, 4)], [(_MODES[::-1], 1)]]
+    for current in (state, PureState()):
+        got = project_each(current, group_sets)
+        ref = [oracles.reference_project_occupancy(current, g) for g in group_sets]
+        assert [(_bits(c), p.hex()) for c, p in got] == [(_bits(c), p.hex()) for c, p in ref]
 
 
 @given(_state_st(max_terms=6), st.data())
