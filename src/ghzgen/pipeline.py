@@ -234,7 +234,7 @@ def branch_states(
     )
     fan_out = network.elements[: structure.boundary]
     trigger = structure.trigger
-    groups = [(trigger.modes, 1)] + [(modes, 1) for modes in structure.positions]
+    groups = ((trigger.modes, 1), *[(modes, 1) for modes in structure.positions])
     results = []
     for outcome in outcomes:
         state = compose(fan_out, feed_forward(outcome))

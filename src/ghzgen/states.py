@@ -15,6 +15,14 @@ Conventions:
   * kets are normalized occupation-number states, |n> = (a†)^n / sqrt(n!) |0>
   * amplitudes with magnitude below ``PRUNE_TOL`` are dropped after every
     arithmetic operation, so zero really means zero
+  * every stored amplitude is finite and has been summed onto 0j, so no
+    part of it is -0.0: the public ``PureState`` constructor checks and
+    sums what it is given, and every engine path (``apply``, its kernels,
+    the projections, ``herald``, ``normalized``, ``phase_fixed``) sums
+    its results onto 0j itself, or copies amplitudes that were.  So the
+    engine builds its states with ``PureState._pruned`` and scales them
+    with ``PureState._scaled``, which skip the constructor's checks and
+    give its bits
   * ``ModeTransform.apply`` builds a stage on the first sight of each
     input ket order, from one plan per input count pattern, and replays
     it on every later call: the same floating-point operations, in the
@@ -35,9 +43,11 @@ Conventions:
     stage that often; a long-running library caller does
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_each`` and ``project_occupancy`` return
-    the probability separately for exactly this reason).  Which kets a
-    projection keeps is memoized once, in ``_selection``, per ket order
-    and group sets, for at most ``MASK_CACHE_SIZE`` entries
+    the probability separately for exactly this reason).  A projection
+    resolves its group sets once, in ``_resolved_groups``, and which kets
+    it keeps once, in ``_selection``, per ket order and group sets; which
+    kets ``herald`` leaves is memoized in ``_heralded``, per ket order and
+    detector modes.  Each memo keeps at most ``MASK_CACHE_SIZE`` entries
   * the state algebra and the element matrices are plain Python; numpy is
     imported only by ``entanglement_summary``, when it runs
 """
@@ -72,9 +82,11 @@ KERNEL_AFTER = 128
 # the most op steps plus output sums a stage may have and still get a
 # kernel; a builtin stage has at most 36 op steps and 40 output sums
 KERNEL_MAX_STEPS = 2048
-# (ket order, group sets) selections that ``project_each`` keeps, for
-# ``project_occupancy`` and ``pipeline.postselect_coincidence`` alike;
-# runs of the builtin circuits meet 11
+# the entries each projection memo keeps: group sets resolved and (ket
+# order, group sets) selections of ``project_each``, for
+# ``project_occupancy`` and ``pipeline.postselect_coincidence`` alike, and
+# (ket order, detector modes) heralds of ``herald``; runs of the builtin
+# circuits meet 3, 11 and 2 of them
 MASK_CACHE_SIZE = 256
 
 
@@ -231,6 +243,21 @@ class PureState:
         state._terms = {k: a for k, a in items if abs(a) > PRUNE_TOL}
         return state
 
+    def _scaled(self, scalar: complex) -> "PureState":
+        """``self * scalar``, bit for bit, for a state the engine holds:
+        each product is summed onto ``0j`` and pruned as the public
+        constructor does, without its per-amplitude checks, since every
+        stored amplitude is finite already.  A non-finite ``scalar``
+        raises ``ValueError``.  For engine internals only."""
+        scalar = complex(scalar)
+        if not cmath.isfinite(scalar):
+            raise ValueError(f"non-finite scale factor {scalar}")
+        state = object.__new__(PureState)
+        state._terms = {
+            k: b for k, a in self._terms.items() if abs(b := 0j + a * scalar) > PRUNE_TOL
+        }
+        return state
+
     @property
     def terms(self) -> dict[FockKet, complex]:
         return dict(self._terms)
@@ -254,7 +281,7 @@ class PureState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return self * (1.0 / n)
+        return self._scaled(1.0 / n)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -360,7 +387,7 @@ def phase_fixed(state: PureState) -> PureState:
     if not terms:
         return state
     _, lead = terms[0]
-    return state * (abs(lead) / lead)
+    return state._scaled(abs(lead) / lead)
 
 
 # --- optical-element transforms ----------------------------------------
@@ -759,26 +786,28 @@ def project_each(
     state, 0.0) when the set keeps no ket; probability is relative to the
     squared norm of the input, which is taken once.
 
-    Which kets pass depends on the ket order and the groups alone, so the
-    selection is memoized on both (``_selection``); the amplitudes are
-    read on every call.  Each conditional is built from the kept kets in
-    the input's order."""
-    resolved = tuple(
-        [
-            tuple([(frozenset(modes), int(count)) for modes, count in groups])
-            for groups in group_sets
-        ]
-    )
+    The group sets are resolved once per value (``_resolved_groups``);
+    ones that are not hashed by value, such as lists, are resolved on
+    every call.  Which kets pass depends on the ket order and the groups
+    alone, so the selection is memoized on both (``_selection``); the
+    amplitudes are read on every call.  Each conditional is built from
+    the kept kets in the input's order and scaled by 1 / n, with n its
+    norm before scaling; its probability is n ** 2 over the input's."""
+    try:
+        resolved = _resolved_groups(group_sets)
+    except TypeError:
+        resolved = _resolve_groups(group_sets)
     terms = state._terms
     items = list(terms.items())
     total = state.norm() ** 2
     results = []
     for positions in _selection(tuple(terms), resolved):
-        projected = PureState([items[i] for i in positions])
+        projected = PureState._pruned([items[i] for i in positions])
         if projected.is_zero():
             results.append((projected, 0.0))
         else:
-            results.append((projected.normalized(), projected.norm() ** 2 / total))
+            n = projected.norm()
+            results.append((projected._scaled(1.0 / n), n**2 / total))
     return results
 
 
@@ -788,6 +817,36 @@ def project_occupancy(
     """``project_each`` on the one set ``groups``: (normalized conditional
     state, probability relative to the squared norm of the input)."""
     return project_each(state, (groups,))[0]
+
+
+def _resolve_groups(group_sets) -> tuple[tuple[tuple[frozenset[str], int], ...], ...]:
+    """Each ``(modes, count)`` group of each set as ``(frozenset(modes),
+    int(count))``."""
+    return tuple(
+        [
+            tuple([(frozenset(modes), int(count)) for modes, count in groups])
+            for groups in group_sets
+        ]
+    )
+
+
+def _by_value(key) -> bool:
+    """Whether ``key`` is built of tuples, strings and ints alone, so that
+    it hashes and compares by value and reading it consumes nothing."""
+    cls = key.__class__
+    if cls is tuple:
+        return all(map(_by_value, key))
+    return cls is str or cls is int
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _resolved_groups(group_sets) -> tuple[tuple[tuple[frozenset[str], int], ...], ...]:
+    """``_resolve_groups`` memoized on the group sets as passed.  A key
+    not hashed by value (an iterator hashes by identity) raises
+    ``TypeError`` before it is read, and nothing is stored."""
+    if not _by_value(group_sets):
+        raise TypeError("group sets not hashed by value")
+    return _resolve_groups(group_sets)
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
@@ -811,24 +870,38 @@ def herald(state: PureState, modes: Iterable[str], name: str) -> PureState:
     rest is a heralded state only if that photon is in a product with it:
     the same polarization in every ket, and no two kets told apart by the
     detector's path alone; otherwise ``NetworkError``.  Amplitudes are
-    copied as they are, in the same order; a ket with the detector's
-    entries left out is still canonical, so it is looked up as it is.
+    copied as they are, in the same order, onto the kets ``_heralded``
+    keeps for the ket order and ``modes``.
     """
-    modes = set(modes)
+    terms = state._terms
+    rest = _heralded(tuple(terms), frozenset(modes))
+    if rest.__class__ is not tuple:
+        if rest is None:
+            raise NetworkError(f"the {name} photon is entangled with the rest")
+        raise NetworkError(f"two {name} paths interfere at {rest}")
+    return PureState._pruned(zip(rest, terms.values()))
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _heralded(kets: tuple[FockKet, ...], modes: frozenset[str]) -> tuple | FockKet | None:
+    """Per ket of ``kets``, in order, the ket with its entries on ``modes``
+    left out: still canonical, so it is looked up as it is.  ``None``
+    when two kets differ in the polarizations on ``modes``; the first
+    ket reached twice when two kets differ there in path alone."""
     fired = None
-    rest: dict[FockKet, complex] = {}
-    for k, amp in state._terms.items():
-        occ = k.occupations
+    rest: dict[FockKet, None] = {}
+    for k in kets:
+        occ = k._occ
         pols = [r.pol for r, _ in occ if r.mode in modes]
         if fired is None:
             fired = pols
         elif pols != fired:
-            raise NetworkError(f"the {name} photon is entangled with the rest")
+            return None
         kept = FockKet._canonical(tuple([e for e in occ if e[0].mode not in modes]))
         if kept in rest:
-            raise NetworkError(f"two {name} paths interfere at {kept}")
-        rest[kept] = amp
-    return PureState._pruned(rest.items())
+            return kept
+        rest[kept] = None
+    return tuple(rest)
 
 
 # --- polarization-versus-path entanglement -------------------------------
@@ -881,7 +954,9 @@ def entanglement_summary(state: PureState, positions: Sequence[Iterable[str]]) -
     rho_pol = m @ m.conj().T
     rho_path = m.T @ m.conj()
     v = m.reshape(-1)
-    deviation = np.abs(np.outer(v, v.conj()) - np.kron(rho_pol, rho_path))
+    # rho_pol (x) rho_path, one product per entry as np.kron takes it
+    joint = (rho_pol[:, None, :, None] * rho_path[None, :, None, :]).reshape(v.size, v.size)
+    deviation = np.abs(np.outer(v, v.conj()) - joint)
     return {
         "schmidt_rank": len(coeffs),
         "schmidt_coefficients": coeffs,

@@ -12,7 +12,8 @@ engine's earlier, plainly written ``ModeTransform.apply``, kept here
 unchanged so the optimized kernel can be held to bit-for-bit equality
 with it, and ``reference_project_occupancy`` and
 ``reference_postselect_coincidence`` do the same for the memoized
-projections; ``states_close`` compares two states amplitude by amplitude;
+projections, through the public ``PureState`` constructor alone;
+``states_close`` compares two states amplitude by amplitude;
 ``dense_entanglement_summary`` recomputes the polarization-versus-path
 summary from the dense density matrix, as a cross-check of
 ``entanglement_summary``.
@@ -379,9 +380,10 @@ def reference_apply(transform, state):
 
 
 def reference_project_occupancy(state, groups):
-    """The engine's earlier ``project_occupancy``, verbatim: it scans every
-    ket's counts on every call.  The memoized selection must return
-    exactly this state, in this ket order, and this probability."""
+    """The engine's earlier ``project_occupancy``: it scans every ket's
+    counts on every call and builds and scales the conditional through
+    the public ``PureState`` constructor.  The memoized selection must
+    return exactly this state, in this ket order, and this probability."""
     from ghzgen.states import PureState
 
     resolved = [(frozenset(modes), int(count)) for modes, count in groups]
@@ -393,25 +395,24 @@ def reference_project_occupancy(state, groups):
     if total == 0.0:
         return PureState(), 0.0
     projected = PureState(kept)
-    prob = projected.norm() ** 2 / total
+    n = projected.norm()
+    prob = n**2 / total
     if projected.is_zero():
         return projected, 0.0
-    return projected.normalized(), prob
+    return PureState({k: a * (1.0 / n) for k, a in projected.terms.items()}), prob
 
 
 # --- reference for postselect_coincidence's one-pass split ---------------
 
 
 def reference_postselect_coincidence(state, patterns):
-    """The engine's earlier ``postselect_coincidence``, verbatim: one
-    ``project_occupancy`` per pattern, each taking the input norm again.
-    The one-pass split must return exactly these patterns, states, in
-    this ket order, and probabilities."""
-    from ghzgen.states import project_occupancy
-
+    """The engine's earlier ``postselect_coincidence``: one
+    ``reference_project_occupancy`` per pattern, each taking the input
+    norm again.  The one-pass split must return exactly these patterns,
+    states, in this ket order, and probabilities."""
     results = []
     for pattern in patterns:
-        conditional, prob = project_occupancy(state, pattern.groups)
+        conditional, prob = reference_project_occupancy(state, pattern.groups)
         if prob > 0.0:
             results.append((pattern, conditional, prob))
     return results

@@ -741,8 +741,8 @@ def test_builtin_and_network_are_exclusive(capsys):
 # that tests/oracles.py keeps as reference_apply.  Output is byte-for-byte
 # deterministic, so any engine change that moves a single bit of a printed
 # amplitude or probability shows here; such a change must update these
-# digests on purpose.  analyze-entanglement is left out because its SVD
-# depends on the BLAS build, sweep-noise because it is slow.
+# digests on purpose.  The four sweep-noise cases are the ones a change to
+# the sweep must keep byte-identical.
 GOLDEN_STDOUT = {
     ("run",): "208ef83fedb1e3877096b5d529aa922179da33525018274650263accae7f4d09",
     ("run", "--noise", "X@1,Z@3"): "c4d938f51ce6a12840d1c762785538df70d75bc71b9a1d802169d7cfa93c146b",
@@ -757,6 +757,9 @@ GOLDEN_STDOUT = {
     ("verify-entanglement", "--json"): "1b04e238aecfa52197efa309b0cdd68be2f62e38b6030d03fb1cc2128d509a0f",
     ("parse", "--builtin", "fig3", "--json"): "b1e65635cf8ee6b381a1c18e44ccd0867c0104a4a18493988138fdea44ba70bc",
     ("sweep-noise", "--json", "--noise", "p=0.3"): "1a648042473361d276dd52342635d7b9af5cbff9ca51e7931a009d4a9ffb26cd",
+    ("sweep-noise", "--json", "--noise", "p=0.1"): "735ece25a3fc667af1a50b379556fe8f7e63e6ff6b0c393530636d64945f8482",
+    ("sweep-noise", "--json", "--noise", "p=0.77", "--weights", "0.2,0.3,0.5", "--theta", "0.02"): "8ed9d5b8b41ba7d5616ec885e228df9f708bd8b667d5d7ea9a96631225a75ba3",
+    ("sweep-noise", "--json", "--noise", "p=0.05", "--weights", "0.1,0.6,0.3", "--theta", "0.04"): "121259b177ecd84cd26f8c823d7819e95b406d40870b4cd0cef9b013233b3ec0",
 }
 
 

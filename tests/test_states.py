@@ -46,6 +46,7 @@ from ghzgen.states import (
     ISOMETRY_TOL,
     KERNEL_AFTER,
     KERNEL_MAX_STEPS,
+    PRUNE_TOL,
     STAGE_CACHE_SIZE,
     compose,
     herald,
@@ -1220,3 +1221,159 @@ def test_property_postselect_coincidence_matches_the_per_pattern_scan(state, dat
     # no ket holds four photons: a state outside every pattern gives none
     outside = CoincidencePattern(("x", "y", "z"), "none", ((_MODES, 4),))
     assert postselect_coincidence(state, [outside]) == []
+
+
+# --- the trusted engine path: bit-exact with the public constructor ---------
+
+
+def _public_scaled(state, scalar):
+    """``state`` scaled through the public constructor, which sums each
+    product onto 0j, checks it and prunes it."""
+    return PureState({k: a * complex(scalar) for k, a in state.terms.items()})
+
+
+def _public_herald(state, modes, name):
+    """The engine's earlier ``herald``, scanning every ket on every call
+    and building its result through the public constructor."""
+    modes = set(modes)
+    fired = None
+    rest = {}
+    for k, amp in state.terms.items():
+        pols = [r.pol for r, _ in k if r.mode in modes]
+        if fired is None:
+            fired = pols
+        elif pols != fired:
+            raise NetworkError(f"the {name} photon is entangled with the rest")
+        kept = FockKet([(r, n) for r, n in k if r.mode not in modes])
+        if kept in rest:
+            raise NetworkError(f"two {name} paths interfere at {kept}")
+        rest[kept] = amp
+    return PureState(rest)
+
+
+@st.composite
+def _spread_state_st(draw):
+    """A random state through the public constructor, signed zeros among
+    its amplitude parts; sometimes one amplitude sits just above
+    ``PRUNE_TOL`` next to a large one, so that normalizing drops it."""
+    state = draw(_state_st(max_terms=6))
+    kets, amps = list(state.terms), list(state.terms.values())
+    if len(kets) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(kets) - 1))
+        amps[i] = amps[i] / abs(amps[i]) * draw(st.floats(1.01e-12, 5e-12))
+        amps[i - 1] = amps[i - 1] * draw(st.floats(10.0, 100.0))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    amps[0] = complex(amps[0].real, zero) if draw(st.booleans()) else complex(zero, amps[0].imag)
+    assume(abs(amps[0]) > PRUNE_TOL)
+    return PureState(zip(kets, amps))
+
+
+@given(_spread_state_st())
+def test_property_normalized_and_phase_fixed_are_bit_exact_to_the_constructor(state):
+    n = state.norm()
+    assert _bits(state.normalized()) == _bits(_public_scaled(state, 1.0 / n))
+    _, lead = state.sorted_terms()[0]
+    assert _bits(phase_fixed(state)) == _bits(_public_scaled(state, abs(lead) / lead))
+
+
+@given(
+    _spread_state_st(),
+    st.one_of(
+        st.floats(-1e3, 1e3).map(complex),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_property_scaled_is_bit_exact_to_the_constructor(state, scalar):
+    # real scales make -0.0 parts that only the sum onto 0j clears; tiny
+    # scales included, under which every amplitude may fall below PRUNE_TOL
+    assert _bits(state._scaled(scalar)) == _bits(_public_scaled(state, scalar))
+    assert _bits(state._scaled(scalar * 1e-11)) == _bits(_public_scaled(state, scalar * 1e-11))
+
+
+@given(_spread_state_st(), st.data())
+def test_property_project_each_is_bit_exact_to_the_constructor(state, data):
+    # group sets as tuples (resolved once per value) and as lists
+    # (resolved per call), twice each: first sight and memo hit alike
+    group = st.tuples(
+        st.lists(st.sampled_from(_MODES), min_size=1, unique=True).map(tuple),
+        st.integers(0, 2),
+    )
+    group_sets = data.draw(st.lists(st.lists(group, min_size=1, max_size=3), min_size=1, max_size=4))
+    ref = [oracles.reference_project_occupancy(state, g) for g in group_sets]
+    expected = [(_bits(c), p.hex()) for c, p in ref]
+    as_tuples = tuple(tuple(g) for g in group_sets)
+    for passed in (as_tuples, group_sets, as_tuples, group_sets):
+        got = project_each(state, passed)
+        assert [(_bits(c), p.hex()) for c, p in got] == expected
+
+
+@st.composite
+def _herald_case_st(draw):
+    """A state with one trigger photon per ket on t1 or t2: usually one
+    polarization throughout, sometimes a ket with the other one, or a ket
+    repeated on the other trigger path, so that both refusals show."""
+    state = draw(_spread_state_st())
+    pol = draw(st.sampled_from(_POLS))
+    items = []
+    for k, amp in state.terms.items():
+        path = draw(st.sampled_from(("t1", "t2")))
+        items.append((FockKet([*k, (Rail(path, pol), 1)]), amp))
+    fault = draw(st.sampled_from(["none", "none", "entangled", "interfere"]))
+    k, amp = items[-1]
+    rest = [(r, n) for r, n in k if r.mode not in ("t1", "t2")]
+    if fault == "entangled":
+        items.append((FockKet([*rest, (Rail("t1", "V" if pol == "H" else "H"), 1)]), amp))
+    elif fault == "interfere":
+        other = "t2" if (Rail("t1", pol), 1) in k.occupations else "t1"
+        items.append((FockKet([*rest, (Rail(other, pol), 1)]), amp))
+    return PureState(items)
+
+
+def _herald_outcome(fn, state, name):
+    try:
+        return "state", _bits(fn(state, ("t1", "t2"), name))
+    except NetworkError as exc:
+        return "error", str(exc)
+
+
+@given(_herald_case_st())
+def test_property_herald_is_bit_exact_to_the_constructor(state):
+    # first sight and memo hit, under two detector names
+    for name in ("T", "U", "T"):
+        assert _herald_outcome(herald, state, name) == _herald_outcome(_public_herald, state, name)
+
+
+def test_herald_memo_names_the_detector_it_is_given():
+    # one ket order under two names: the memoized refusal names each
+    entangled = ket(("t1", "H"), ("a", "H")) + ket(("t2", "V"), ("a", "V"))
+    interfering = ket(("t1", "H"), ("x", "H")) + ket(("t2", "H"), ("x", "H"))
+    for name in ("T", "Trigger2", "T"):
+        with pytest.raises(NetworkError, match=f"^the {name} photon is entangled with the rest$"):
+            herald(entangled, ("t1", "t2"), name)
+        with pytest.raises(NetworkError, match=f"^two {name} paths interfere at "):
+            herald(interfering, ("t1", "t2"), name)
+    good = ket(("t1", "H"), ("a", "H")) + ket(("t2", "H"), ("b", "V"), amp=-0.5j)
+    assert _bits(herald(good, ("t2", "t1"), "T")) == _bits(herald(good, ["t1", "t2"], "U"))
+
+
+@pytest.mark.parametrize("scalar", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 1.0)])
+def test_a_non_finite_scale_factor_raises(scalar):
+    state = ket(("a", "H"), amp=0.6) + ket(("a", "V"), amp=-0.8j)
+    with pytest.raises(ValueError, match="non-finite scale factor"):
+        state._scaled(scalar)
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        state * scalar
+
+
+def test_group_sets_not_hashed_by_value_are_resolved_per_call():
+    # an iterator is hashed by identity: it is read once and never stored,
+    # so a later iterator at the same address is read afresh
+    from ghzgen.states import _resolved_groups
+
+    state = ket(("a", "H")) + ket(("b", "H"), amp=2.0)
+    stored = _resolved_groups.cache_info().currsize
+    for mode, prob in (("b", 0.8), ("a", 0.2), ("b", 0.8)):
+        ((cond, got),) = project_each(state, (((iter([mode]), 1),),))
+        assert list(cond.terms) == [FockKet({Rail(mode, "H"): 1})]
+        assert got == pytest.approx(prob)
+    assert _resolved_groups.cache_info().currsize == stored
