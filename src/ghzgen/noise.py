@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .qnd import NetworkError
-from .states import H, V, FockKet, PureState, Rail, fidelity, ket
+from .states import MASK_CACHE_SIZE, H, V, FockKet, PureState, Rail, fidelity, ket
 
 FAMILY_TAGS = ("psi", "psi0", "psi1", "psi2")
 
@@ -116,13 +116,16 @@ def _family_state(
     return out
 
 
+_FAMILIES = tuple(
+    NoiseFamily(tag=tag, sign=sign, mirrored=mirrored)
+    for tag in FAMILY_TAGS
+    for mirrored in (False, True)
+    for sign in (1, -1)
+)
+
+
 def all_families() -> tuple[NoiseFamily, ...]:
-    return tuple(
-        NoiseFamily(tag=tag, sign=sign, mirrored=mirrored)
-        for tag in FAMILY_TAGS
-        for mirrored in (False, True)
-        for sign in (1, -1)
-    )
+    return _FAMILIES
 
 
 def classify_family(
@@ -133,12 +136,23 @@ def classify_family(
 
     Comparison is by fidelity, so global phase is irrelevant.  A state
     outside the set (a spatial-mode error, which the model excludes, or a
-    miswired fan-out) raises ``NetworkError``.
+    miswired fan-out) raises ``NetworkError``.  Only the families whose
+    literal state shares a ket with ``state`` are scored (``_candidates``,
+    per ket order and positions): the fidelity of any other is exactly
+    0.0, so the family chosen, or the error raised, is the full scan's.
     """
-    for fam in all_families():
-        if fidelity(state, family_state(fam, positions)) > 1.0 - CLASSIFY_TOL:
+    for fam, literal in _candidates(tuple(state._terms), tuple(map(tuple, positions))):
+        if fidelity(state, literal) > 1.0 - CLASSIFY_TOL:
             return fam
     raise NetworkError("state does not match any depolarization family")
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _candidates(kets: tuple[FockKet, ...], positions: tuple) -> tuple:
+    """The ``(family, literal state on positions)`` pairs, in
+    ``all_families`` order, whose literal state holds one of ``kets``."""
+    literals = [(fam, _family_state(fam, positions)) for fam in _FAMILIES]
+    return tuple(p for p in literals if not p[1]._terms.keys().isdisjoint(kets))
 
 
 def apply_errors(
@@ -151,13 +165,29 @@ def apply_errors(
 
     Each error acts on both spatial modes of its photon; spatial labels
     are untouched.  Y is the composition Z(X(state)) (phase after flip).
+    Each ket's image and sign are memoized per ket order, errors and
+    positions (``_errored``); each amplitude times its sign is summed
+    onto 0j.
     """
+    terms = state._terms
+    images = _errored(tuple(terms), tuple(errors), tuple(map(tuple, positions)))
+    acc: dict[FockKet, complex] = {}
+    for (new_k, phase), amp in zip(images, terms.values()):
+        acc[new_k] = acc.get(new_k, 0j) + amp * phase
+    return PureState._pruned(acc.items())
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _errored(kets: tuple[FockKet, ...], errors: tuple, positions: tuple) -> tuple:
+    """Per ket of ``kets``, in order, its image under ``errors`` on
+    ``positions`` and its sign: each rail walks its photon's errors in
+    order, so the signs come out as with one error at a time."""
     kinds: dict[str, list[str]] = {}
     for err in errors:
         for mode in positions[err.photon - 1]:
             kinds.setdefault(mode, []).append(err.kind)
-    acc: dict[FockKet, complex] = {}
-    for k, amp in state.terms.items():
+    out = []
+    for k in kets:
         entries = []
         phase = 1.0
         for r, n in k:
@@ -168,9 +198,10 @@ def apply_errors(
                 if kind != "X" and pol == V:
                     phase *= (-1.0) ** n
             entries.append((Rail(r.mode, pol), n))
-        new_k = FockKet(entries)
-        acc[new_k] = acc.get(new_k, 0j) + amp * phase
-    return PureState(acc)
+        # a flip maps the rails of one mode onto each other, so no two
+        # entries merge, but it can move a rail past its neighbour
+        out.append((FockKet._canonical(tuple(sorted(entries))), phase))
+    return tuple(out)
 
 
 def depolarizing_mixture(p: float) -> list[tuple[float, tuple[PauliError, ...]]]:

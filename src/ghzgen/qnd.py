@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .states import FockKet, NetworkError, PureState, Rail, sum_in_order
+from .states import MASK_CACHE_SIZE, FockKet, NetworkError, PureState, Rail, sum_in_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,12 +48,20 @@ def tag_phases(
     state: PureState, couplings: Sequence[KerrCoupling]
 ) -> dict[FockKet, float]:
     """The probe phase, in units of theta, that each ket of ``state``
-    imprints through the ``couplings``."""
+    imprints through the ``couplings``, memoized per ket order and
+    couplings (``_tags``)."""
+    kets = tuple(state._terms)
+    return dict(zip(kets, _tags(kets, tuple(couplings))))
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _tags(kets: tuple[FockKet, ...], couplings: tuple[KerrCoupling, ...]) -> tuple[float, ...]:
+    """Per ket of ``kets``, in order, its tag through ``couplings``."""
     per_rail: dict[Rail, float] = {}
     for c in couplings:
         rail = Rail(c.mode, c.pol)
         per_rail[rail] = per_rail.get(rail, 0.0) + c.units
-    return {k: sum_in_order(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
+    return tuple([sum_in_order(per_rail.get(r, 0.0) * n for r, n in k) for k in kets])
 
 
 class QndOutcome(NamedTuple):
@@ -90,7 +99,7 @@ def homodyne_discriminate(
     """
     sides: dict[str, dict[FockKet, complex]] = {"A": {}, "B": {}}
     signs: dict[FockKet, int] = {}
-    for k, amp in state.terms.items():
+    for k, amp in state._terms.items():
         t = tags[k]
         # the range test goes first: round() fails on an infinite or NaN tag
         if not -1.5 < t < 1.5 or abs(t - round(t)) > _TAG_TOL:
@@ -105,7 +114,7 @@ def homodyne_discriminate(
         raise ValueError("cannot discriminate the zero state")
     outcomes: list[QndOutcome] = []
     for branch in ("A", "B"):
-        part = PureState(sides[branch])
+        part = PureState._pruned(sides[branch].items())
         prob = part.norm() ** 2 / total
         if prob == 0.0:
             continue
@@ -113,9 +122,7 @@ def homodyne_discriminate(
         x = float(rng.normal(mean, 1.0)) if rng is not None else mean
         phi = alpha * math.sin(theta) * (x - mean) if branch == "A" else 0.0
         if phi:
-            part = PureState(
-                {k: amp * cmath.exp(1j * signs[k] * phi) for k, amp in part.terms.items()}
-            )
+            part = _rotated(part, signs, 1j, phi)
         outcomes.append(
             QndOutcome(
                 branch=branch,
@@ -123,7 +130,7 @@ def homodyne_discriminate(
                 conditional=part.normalized(),
                 x=x,
                 phi=phi,
-                tag_signs={k: signs[k] for k in part.terms},
+                tag_signs={k: signs[k] for k in part._terms},
             )
         )
     return outcomes
@@ -136,13 +143,17 @@ def feed_forward(outcome: QndOutcome) -> PureState:
     """
     if outcome.branch != "A" or outcome.phi == 0.0:
         return outcome.conditional
-    phi = outcome.phi
-    return PureState(
-        {
-            k: amp * cmath.exp(-1j * outcome.tag_signs[k] * phi)
-            for k, amp in outcome.conditional.terms.items()
-        }
-    )
+    return _rotated(outcome.conditional, outcome.tag_signs, -1j, outcome.phi)
+
+
+def _rotated(
+    state: PureState, signs: Mapping[FockKet, int], unit: complex, phi: float
+) -> PureState:
+    """``state`` with each amplitude times exp(unit * sign * phi), summed
+    onto 0j, taking the phase once per sign value."""
+    terms = state._terms
+    phases = {s: cmath.exp(unit * s * phi) for s in {signs[k] for k in terms}}
+    return PureState._pruned([(k, 0j + amp * phases[signs[k]]) for k, amp in terms.items()])
 
 
 def probe_distinguishability(alpha: float, theta: float) -> float:

@@ -76,14 +76,13 @@ def two_pair_product(i: int, j: int) -> PureState:
 
 
 def dual_pass_emission(weights: CaseWeights | None = None) -> PureState:
-    """Coherent three-case superposition with amplitudes sqrt(w_k)."""
+    """Coherent three-case superposition with amplitudes sqrt(w_k), each
+    case scaled and summed onto 0j in order; the cases share no ket, so
+    this is the public ``+`` chain's result, bit for bit."""
     weights = weights or CaseWeights()
-    w1, w2, w3 = weights.as_tuple()
-    out = PureState()
-    if w1:
-        out = out + math.sqrt(w1) * two_pair_product(1, 1)
-    if w2:
-        out = out + math.sqrt(w2) * two_pair_product(2, 2)
-    if w3:
-        out = out + math.sqrt(w3) * two_pair_product(1, 2)
-    return out
+    acc: dict = {}
+    for w, (i, j) in zip(weights.as_tuple(), ((1, 1), (2, 2), (1, 2))):
+        if w:
+            for k, a in two_pair_product(i, j)._scaled(math.sqrt(w))._terms.items():
+                acc[k] = acc.get(k, 0j) + a
+    return PureState._pruned(acc.items())

@@ -18,11 +18,11 @@ Conventions:
   * every stored amplitude is finite and has been summed onto 0j, so no
     part of it is -0.0: the public ``PureState`` constructor checks and
     sums what it is given, and every engine path (``apply``, its kernels,
-    the projections, ``herald``, ``normalized``, ``phase_fixed``) sums
-    its results onto 0j itself, or copies amplitudes that were.  So the
-    engine builds its states with ``PureState._pruned`` and scales them
-    with ``PureState._scaled``, which skip the constructor's checks and
-    give its bits
+    the projections, ``herald``, ``normalized``, ``phase_fixed``, the
+    source, QND and noise layers) sums its results onto 0j itself, or
+    copies amplitudes that were.  So the engine builds its states with
+    ``PureState._pruned`` and scales them with ``PureState._scaled``,
+    which skip the constructor's checks and give its bits
   * ``ModeTransform.apply`` builds a stage on the first sight of each
     input ket order, from one plan per input count pattern, and replays
     it on every later call: the same floating-point operations, in the
@@ -47,7 +47,11 @@ Conventions:
     resolves its group sets once, in ``_resolved_groups``, and which kets
     it keeps once, in ``_selection``, per ket order and group sets; which
     kets ``herald`` leaves is memoized in ``_heralded``, per ket order and
-    detector modes.  Each memo keeps at most ``MASK_CACHE_SIZE`` entries
+    detector modes
+  * so is each per-ket decision of the other layers, per ket order:
+    ``_cells`` of ``entanglement_summary``, ``qnd._tags``, and
+    ``noise._errored`` and ``noise._candidates``.  Each memo keeps at most
+    ``MASK_CACHE_SIZE`` entries (see there)
   * the state algebra and the element matrices are plain Python; numpy is
     imported only by ``entanglement_summary``, when it runs
 """
@@ -82,11 +86,14 @@ KERNEL_AFTER = 128
 # the most op steps plus output sums a stage may have and still get a
 # kernel; a builtin stage has at most 36 op steps and 40 output sums
 KERNEL_MAX_STEPS = 2048
-# the entries each projection memo keeps: group sets resolved and (ket
-# order, group sets) selections of ``project_each``, for
-# ``project_occupancy`` and ``pipeline.postselect_coincidence`` alike, and
-# (ket order, detector modes) heralds of ``herald``; runs of the builtin
-# circuits meet 3, 11 and 2 of them
+# the entries each memo keeps: group sets resolved and (ket order, group
+# sets) selections of ``project_each`` (``project_occupancy`` and
+# ``pipeline.postselect_coincidence``); heralds of ``herald`` and cells of
+# ``entanglement_summary`` per ket order and modes; ``qnd.tag_phases``
+# tags per ket order and couplings; ``noise`` candidate families per ket
+# order and positions, and error images per ket order, errors and
+# positions.  240 library requests on the builtin circuits meet 3, 11, 2,
+# 2, 1, 8 and 41 of them, one noise sweep 127 error images
 MASK_CACHE_SIZE = 256
 
 
@@ -928,28 +935,12 @@ def entanglement_summary(state: PureState, positions: Sequence[Iterable[str]]) -
     """
     import numpy as np
 
-    groups = [tuple(p) for p in positions]
-    all_modes = {m for g in groups for m in g}
-    pol_index: dict[tuple, int] = {}
-    path_index: dict[tuple, int] = {}
-    entries: list[tuple[int, int, complex]] = []
-    for k, amp in state.normalized().sorted_terms():
-        pols, modes = [], []
-        for group in groups:
-            found = [(r, n) for r, n in k if r.mode in group]
-            if len(found) != 1 or found[0][1] != 1:
-                raise ValueError(f"{k} does not hold exactly one photon in {group}")
-            rail = found[0][0]
-            pols.append(rail.pol)
-            modes.append(rail.mode)
-        if any(r.mode not in all_modes for r, _ in k):
-            raise ValueError(f"{k} has photons outside the positions")
-        i = pol_index.setdefault(tuple(pols), len(pol_index))
-        j = path_index.setdefault(tuple(modes), len(path_index))
-        entries.append((i, j, amp))
-    m = np.zeros((len(pol_index), len(path_index)), dtype=complex)
-    for i, j, amp in entries:
-        m[i, j] += amp
+    normed = state.normalized()
+    amps = list(normed._terms.values())
+    cells, shape = _cells(tuple(normed._terms), tuple([tuple(p) for p in positions]))
+    m = np.zeros(shape, dtype=complex)
+    for index, i, j in cells:
+        m[i, j] += amps[index]
     coeffs = tuple(float(s) for s in np.linalg.svd(m, compute_uv=False) if s > SCHMIDT_TOL)
     rho_pol = m @ m.conj().T
     rho_path = m.T @ m.conj()
@@ -963,6 +954,34 @@ def entanglement_summary(state: PureState, positions: Sequence[Iterable[str]]) -
         "polarization_purity": float((rho_pol @ rho_pol).trace().real),
         "product_state_deviation": float(np.max(deviation)),
     }
+
+
+@lru_cache(maxsize=MASK_CACHE_SIZE)
+def _cells(
+    kets: tuple[FockKet, ...], groups: tuple[tuple[str, ...], ...]
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int]]:
+    """Per ket of ``kets`` in canonical order, its position in ``kets`` and
+    its (polarization word, path word) cell, each word numbered on first
+    sight; and the matrix shape.  Raises ``entanglement_summary``'s errors."""
+    all_modes = {m for g in groups for m in g}
+    pol_index: dict[tuple, int] = {}
+    path_index: dict[tuple, int] = {}
+    cells = []
+    for index, k in sorted(enumerate(kets), key=lambda item: item[1]._occ):
+        pols, modes = [], []
+        for group in groups:
+            found = [(r, n) for r, n in k if r.mode in group]
+            if len(found) != 1 or found[0][1] != 1:
+                raise ValueError(f"{k} does not hold exactly one photon in {group}")
+            rail = found[0][0]
+            pols.append(rail.pol)
+            modes.append(rail.mode)
+        if any(r.mode not in all_modes for r, _ in k):
+            raise ValueError(f"{k} has photons outside the positions")
+        i = pol_index.setdefault(tuple(pols), len(pol_index))
+        j = path_index.setdefault(tuple(modes), len(path_index))
+        cells.append((index, i, j))
+    return tuple(cells), (len(pol_index), len(path_index))
 
 
 # --- serialization -------------------------------------------------------

@@ -13,6 +13,11 @@ unchanged so the optimized kernel can be held to bit-for-bit equality
 with it, and ``reference_project_occupancy`` and
 ``reference_postselect_coincidence`` do the same for the memoized
 projections, through the public ``PureState`` constructor alone;
+``reference_dual_pass_emission``, ``reference_tag_phases``,
+``reference_homodyne_discriminate``, ``reference_feed_forward``,
+``reference_apply_errors``, ``reference_classify_family`` and
+``reference_entanglement_summary`` are the source, QND and noise layers'
+earlier bodies, held likewise against their trusted engine paths;
 ``states_close`` compares two states amplitude by amplitude;
 ``dense_entanglement_summary`` recomputes the polarization-versus-path
 summary from the dense density matrix, as a cross-check of
@@ -416,3 +421,188 @@ def reference_postselect_coincidence(state, patterns):
         if prob > 0.0:
             results.append((pattern, conditional, prob))
     return results
+
+
+# --- references for the source, QND and noise layers ----------------------
+#
+# The engine's earlier bodies of ``dual_pass_emission``, ``tag_phases``,
+# ``homodyne_discriminate``, ``feed_forward``, ``apply_errors``,
+# ``classify_family`` and ``entanglement_summary``, verbatim but for their
+# imports: every state is built through the validating public constructors
+# and every per-ket decision is taken on every call.  The trusted engine
+# paths must return exactly these kets, in this order, with these bits.
+
+
+def reference_dual_pass_emission(weights=None):
+    from ghzgen.source import CaseWeights, two_pair_product
+    from ghzgen.states import PureState
+
+    weights = weights or CaseWeights()
+    w1, w2, w3 = weights.as_tuple()
+    out = PureState()
+    if w1:
+        out = out + math.sqrt(w1) * two_pair_product(1, 1)
+    if w2:
+        out = out + math.sqrt(w2) * two_pair_product(2, 2)
+    if w3:
+        out = out + math.sqrt(w3) * two_pair_product(1, 2)
+    return out
+
+
+def reference_tag_phases(state, couplings):
+    from ghzgen.states import Rail, sum_in_order
+
+    per_rail = {}
+    for c in couplings:
+        rail = Rail(c.mode, c.pol)
+        per_rail[rail] = per_rail.get(rail, 0.0) + c.units
+    return {k: sum_in_order(per_rail.get(r, 0.0) * n for r, n in k) for k in state.terms}
+
+
+def reference_homodyne_discriminate(state, tags, theta, alpha, rng=None):
+    import cmath
+
+    from ghzgen.qnd import _TAG_TOL, QndOutcome
+    from ghzgen.states import NetworkError, PureState
+
+    sides = {"A": {}, "B": {}}
+    signs = {}
+    for k, amp in state.terms.items():
+        t = tags[k]
+        if not -1.5 < t < 1.5 or abs(t - round(t)) > _TAG_TOL:
+            raise NetworkError(
+                f"tag {t} theta on {k} is outside the protocol classes "
+                "(miswired couplings?)"
+            )
+        signs[k] = round(t)
+        sides["A" if signs[k] else "B"][k] = amp
+    total = state.norm() ** 2
+    if total == 0.0:
+        raise ValueError("cannot discriminate the zero state")
+    outcomes = []
+    for branch in ("A", "B"):
+        part = PureState(sides[branch])
+        prob = part.norm() ** 2 / total
+        if prob == 0.0:
+            continue
+        mean = 2.0 * alpha * (math.cos(theta) if branch == "A" else 1.0)
+        x = float(rng.normal(mean, 1.0)) if rng is not None else mean
+        phi = alpha * math.sin(theta) * (x - mean) if branch == "A" else 0.0
+        if phi:
+            part = PureState(
+                {k: amp * cmath.exp(1j * signs[k] * phi) for k, amp in part.terms.items()}
+            )
+        outcomes.append(
+            QndOutcome(
+                branch=branch,
+                probability=prob,
+                conditional=part.normalized(),
+                x=x,
+                phi=phi,
+                tag_signs={k: signs[k] for k in part.terms},
+            )
+        )
+    return outcomes
+
+
+def reference_feed_forward(outcome):
+    import cmath
+
+    from ghzgen.states import PureState
+
+    if outcome.branch != "A" or outcome.phi == 0.0:
+        return outcome.conditional
+    phi = outcome.phi
+    return PureState(
+        {
+            k: amp * cmath.exp(-1j * outcome.tag_signs[k] * phi)
+            for k, amp in outcome.conditional.terms.items()
+        }
+    )
+
+
+def reference_apply_errors(state, errors, positions):
+    from ghzgen.states import H, V, FockKet, PureState, Rail
+
+    kinds = {}
+    for err in errors:
+        for mode in positions[err.photon - 1]:
+            kinds.setdefault(mode, []).append(err.kind)
+    acc = {}
+    for k, amp in state.terms.items():
+        entries = []
+        phase = 1.0
+        for r, n in k:
+            pol = r.pol
+            for kind in kinds.get(r.mode, ()):
+                if kind != "Z":
+                    pol = V if pol == H else H
+                if kind != "X" and pol == V:
+                    phase *= (-1.0) ** n
+            entries.append((Rail(r.mode, pol), n))
+        new_k = FockKet(entries)
+        acc[new_k] = acc.get(new_k, 0j) + amp * phase
+    return PureState(acc)
+
+
+def reference_classify_family(state, positions):
+    """The full scan: every one of the 16 families, in order, scored by
+    fidelity against its literal state."""
+    from ghzgen.noise import (
+        CLASSIFY_TOL,
+        FAMILY_TAGS,
+        NetworkError,
+        NoiseFamily,
+        family_state,
+    )
+    from ghzgen.states import fidelity
+
+    families = [
+        NoiseFamily(tag=tag, sign=sign, mirrored=mirrored)
+        for tag in FAMILY_TAGS
+        for mirrored in (False, True)
+        for sign in (1, -1)
+    ]
+    for fam in families:
+        if fidelity(state, family_state(fam, positions)) > 1.0 - CLASSIFY_TOL:
+            return fam
+    raise NetworkError("state does not match any depolarization family")
+
+
+def reference_entanglement_summary(state, positions):
+    from ghzgen.states import SCHMIDT_TOL
+
+    groups = [tuple(p) for p in positions]
+    all_modes = {m for g in groups for m in g}
+    pol_index = {}
+    path_index = {}
+    entries = []
+    for k, amp in state.normalized().sorted_terms():
+        pols, modes = [], []
+        for group in groups:
+            found = [(r, n) for r, n in k if r.mode in group]
+            if len(found) != 1 or found[0][1] != 1:
+                raise ValueError(f"{k} does not hold exactly one photon in {group}")
+            rail = found[0][0]
+            pols.append(rail.pol)
+            modes.append(rail.mode)
+        if any(r.mode not in all_modes for r, _ in k):
+            raise ValueError(f"{k} has photons outside the positions")
+        i = pol_index.setdefault(tuple(pols), len(pol_index))
+        j = path_index.setdefault(tuple(modes), len(path_index))
+        entries.append((i, j, amp))
+    m = np.zeros((len(pol_index), len(path_index)), dtype=complex)
+    for i, j, amp in entries:
+        m[i, j] += amp
+    coeffs = tuple(float(s) for s in np.linalg.svd(m, compute_uv=False) if s > SCHMIDT_TOL)
+    rho_pol = m @ m.conj().T
+    rho_path = m.T @ m.conj()
+    v = m.reshape(-1)
+    joint = (rho_pol[:, None, :, None] * rho_path[None, :, None, :]).reshape(v.size, v.size)
+    deviation = np.abs(np.outer(v, v.conj()) - joint)
+    return {
+        "schmidt_rank": len(coeffs),
+        "schmidt_coefficients": coeffs,
+        "polarization_purity": float((rho_pol @ rho_pol).trace().real),
+        "product_state_deviation": float(np.max(deviation)),
+    }

@@ -199,7 +199,7 @@ def test_library_output_is_bit_exact():
 _LIBRARY_CHILD = (
     "import hashlib, importlib.util, itertools, sys\n"
     "import ghzgen\n"
-    "from ghzgen import pipeline, states\n"
+    "from ghzgen import noise, pipeline, qnd, states\n"
     "from ghzgen.dsl import builtin_text, elaborate, parse\n"
     "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
     "workloads = importlib.util.module_from_spec(spec)\n"
@@ -229,8 +229,10 @@ def test_library_requests_do_a_fixed_amount_of_work():
     # count-pattern plans ModeTransform builds, the ket selections
     # project_each builds (for project_occupancy and postselect_coincidence
     # alike), the stages apply compiles into kernels, the group sets
-    # project_each resolves (once per value, not per call) and the ket
-    # orders herald works out (once per order and detector).  The counts
+    # project_each resolves (once per value, not per call), the ket orders
+    # herald works out (once per order and detector), and the per-ket
+    # tags, candidate families, error images and entanglement cells (once
+    # per ket order and couplings, positions or errors).  The counts
     # depend on the circuits and the request mix alone; a change that
     # moves one re-records it with its reason
     out = _library_child(
@@ -247,11 +249,14 @@ def test_library_requests_do_a_fixed_amount_of_work():
         "for kind, params in itertools.islice(requests, 240):\n"
         "    workloads.call_library(ghzgen, networks, kind, params)\n"
         "print(built['_stage'], built['_pattern_plan'], states._selection.cache_info().misses,\n"
-        "      built['_kernel'], built['_resolve_groups'], states._heralded.cache_info().misses)\n"
+        "      built['_kernel'], built['_resolve_groups'], states._heralded.cache_info().misses,\n"
+        "      *[f.cache_info().misses for f in (qnd._tags, noise._candidates, noise._errored,\n"
+        "                                        states._cells)])\n"
     )
     counts = tuple(map(int, out.split()))
-    # (stages, pattern plans, selections, kernels, group resolutions, heralds)
-    assert counts == (98, 104, 11, 32, 3, 2)
+    # (stages, pattern plans, selections, kernels, group resolutions, heralds,
+    #  tags, candidates, error images, entanglement cells)
+    assert counts == (98, 104, 11, 32, 3, 2, 1, 8, 41, 2)
 
 
 def test_library_output_is_bit_exact_with_every_stage_compiled():
