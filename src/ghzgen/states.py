@@ -43,11 +43,11 @@ Conventions:
     stage that often; a long-running library caller does
   * nothing is renormalized implicitly; callers decide when a state is a
     conditional state (``project_each`` and ``project_occupancy`` return
-    the probability separately for exactly this reason).  A projection
-    resolves its group sets once, in ``_resolved_groups``, and which kets
-    it keeps once, in ``_selection``, per ket order and group sets; which
-    kets ``herald`` leaves is memoized in ``_heralded``, per ket order and
-    detector modes
+    the probability separately for exactly this reason).  Which kets a
+    projection keeps is memoized in ``_selection``, per ket order and
+    group sets as passed; which kets ``herald`` leaves is memoized in
+    ``_heralded``, per ket order and detector modes.  A bare string where
+    a collection of modes belongs raises ``ValueError`` (``_mode_set``)
   * so is each per-ket decision of the other layers, per ket order:
     ``_cells`` of ``entanglement_summary``, ``qnd._tags``, and
     ``noise._errored`` and ``noise._candidates``.  Each memo keeps at most
@@ -86,14 +86,14 @@ KERNEL_AFTER = 128
 # the most op steps plus output sums a stage may have and still get a
 # kernel; a builtin stage has at most 36 op steps and 40 output sums
 KERNEL_MAX_STEPS = 2048
-# the entries each memo keeps: group sets resolved and (ket order, group
-# sets) selections of ``project_each`` (``project_occupancy`` and
+# the entries each memo keeps: (ket order, group sets) selections of
+# ``project_each`` (``project_occupancy`` and
 # ``pipeline.postselect_coincidence``); heralds of ``herald`` and cells of
 # ``entanglement_summary`` per ket order and modes; ``qnd.tag_phases``
 # tags per ket order and couplings; ``noise`` candidate families per ket
 # order and positions, and error images per ket order, errors and
-# positions.  240 library requests on the builtin circuits meet 3, 11, 2,
-# 2, 1, 8 and 41 of them, one noise sweep 127 error images
+# positions.  240 library requests on the builtin circuits meet 13, 2, 2,
+# 1, 8 and 41 of them, one noise sweep 127 error images
 MASK_CACHE_SIZE = 256
 
 
@@ -195,7 +195,7 @@ class FockKet:
         return self._occ
 
     def count_in_modes(self, modes: Iterable[str]) -> int:
-        mode_set = set(modes)
+        mode_set = _mode_set(modes)
         return sum(n for r, n in self._occ if r.mode in mode_set)
 
     def __iter__(self) -> Iterator[tuple[Rail, int]]:
@@ -793,22 +793,29 @@ def project_each(
     state, 0.0) when the set keeps no ket; probability is relative to the
     squared norm of the input, which is taken once.
 
-    The group sets are resolved once per value (``_resolved_groups``);
-    ones that are not hashed by value, such as lists, are resolved on
-    every call.  Which kets pass depends on the ket order and the groups
-    alone, so the selection is memoized on both (``_selection``); the
-    amplitudes are read on every call.  Each conditional is built from
-    the kept kets in the input's order and scaled by 1 / n, with n its
-    norm before scaling; its probability is n ** 2 over the input's."""
-    try:
-        resolved = _resolved_groups(group_sets)
-    except TypeError:
-        resolved = _resolve_groups(group_sets)
+    Which kets pass depends on the ket order and the groups alone, so the
+    selection is memoized on both, the group sets as passed
+    (``_selection``); group sets that cannot be hashed, such as lists,
+    are selected on every call.  Each conditional is built from the kept
+    kets in the input's order and scaled by 1 / n, with n its norm before
+    scaling; its probability is n ** 2 over the input's."""
     terms = state._terms
+    kets = tuple(terms)
+    try:
+        selection = _selection(kets, group_sets)
+    except TypeError:
+        # an unhashable key raises before it is read; any other TypeError
+        # is the selection's own and passes on
+        try:
+            hash(group_sets)
+        except TypeError:
+            selection = _selection.__wrapped__(kets, group_sets)
+        else:
+            raise
     items = list(terms.items())
     total = state.norm() ** 2
     results = []
-    for positions in _selection(tuple(terms), resolved):
+    for positions in selection:
         projected = PureState._pruned([items[i] for i in positions])
         if projected.is_zero():
             results.append((projected, 0.0))
@@ -826,46 +833,23 @@ def project_occupancy(
     return project_each(state, (groups,))[0]
 
 
-def _resolve_groups(group_sets) -> tuple[tuple[tuple[frozenset[str], int], ...], ...]:
-    """Each ``(modes, count)`` group of each set as ``(frozenset(modes),
-    int(count))``."""
-    return tuple(
-        [
-            tuple([(frozenset(modes), int(count)) for modes, count in groups])
-            for groups in group_sets
-        ]
-    )
-
-
-def _by_value(key) -> bool:
-    """Whether ``key`` is built of tuples, strings and ints alone, so that
-    it hashes and compares by value and reading it consumes nothing."""
-    cls = key.__class__
-    if cls is tuple:
-        return all(map(_by_value, key))
-    return cls is str or cls is int
+def _mode_set(modes: Iterable[str]) -> frozenset[str]:
+    """``modes`` as a frozenset of mode names.  A bare string raises
+    ``ValueError``: it would be read as its single letters."""
+    if isinstance(modes, str):
+        raise ValueError(f"expected a collection of modes, got the string {modes!r}")
+    return frozenset(modes)
 
 
 @lru_cache(maxsize=MASK_CACHE_SIZE)
-def _resolved_groups(group_sets) -> tuple[tuple[tuple[frozenset[str], int], ...], ...]:
-    """``_resolve_groups`` memoized on the group sets as passed.  A key
-    not hashed by value (an iterator hashes by identity) raises
-    ``TypeError`` before it is read, and nothing is stored."""
-    if not _by_value(group_sets):
-        raise TypeError("group sets not hashed by value")
-    return _resolve_groups(group_sets)
-
-
-@lru_cache(maxsize=MASK_CACHE_SIZE)
-def _selection(
-    kets: tuple[FockKet, ...], group_sets: tuple[tuple[tuple[frozenset[str], int], ...], ...]
-) -> tuple[tuple[int, ...], ...]:
+def _selection(kets: tuple[FockKet, ...], group_sets) -> tuple[tuple[int, ...], ...]:
     """Per set of ``group_sets``, the positions in ``kets`` of the kets
     holding exactly ``count`` photons in each of its ``(modes, count)``
     groups, in ket order.  A ket may land in more than one set."""
+    resolved = ([(_mode_set(m), int(n)) for m, n in groups] for groups in group_sets)
     return tuple(
         tuple(i for i, k in enumerate(kets) if all(k.count_in_modes(m) == n for m, n in g))
-        for g in group_sets
+        for g in resolved
     )
 
 
@@ -881,7 +865,7 @@ def herald(state: PureState, modes: Iterable[str], name: str) -> PureState:
     keeps for the ket order and ``modes``.
     """
     terms = state._terms
-    rest = _heralded(tuple(terms), frozenset(modes))
+    rest = _heralded(tuple(terms), _mode_set(modes))
     if rest.__class__ is not tuple:
         if rest is None:
             raise NetworkError(f"the {name} photon is entangled with the rest")

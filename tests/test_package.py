@@ -228,15 +228,14 @@ def test_library_requests_do_a_fixed_amount_of_work():
     # the same 240 requests in a fresh interpreter, counting the stages and
     # count-pattern plans ModeTransform builds, the ket selections
     # project_each builds (for project_occupancy and postselect_coincidence
-    # alike), the stages apply compiles into kernels, the group sets
-    # project_each resolves (once per value, not per call), the ket orders
+    # alike), the stages apply compiles into kernels, the ket orders
     # herald works out (once per order and detector), and the per-ket
     # tags, candidate families, error images and entanglement cells (once
     # per ket order and couplings, positions or errors).  The counts
     # depend on the circuits and the request mix alone; a change that
     # moves one re-records it with its reason
     out = _library_child(
-        "built = {'_stage': 0, '_pattern_plan': 0, '_kernel': 0, '_resolve_groups': 0}\n"
+        "built = {'_stage': 0, '_pattern_plan': 0, '_kernel': 0}\n"
         "def counted(name, method):\n"
         "    def wrapper(*args):\n"
         "        built[name] += 1\n"
@@ -244,19 +243,18 @@ def test_library_requests_do_a_fixed_amount_of_work():
         "    return wrapper\n"
         "for name in ('_stage', '_pattern_plan'):\n"
         "    setattr(states.ModeTransform, name, counted(name, getattr(states.ModeTransform, name)))\n"
-        "for name in ('_kernel', '_resolve_groups'):\n"
-        "    setattr(states, name, counted(name, getattr(states, name)))\n"
+        "states._kernel = counted('_kernel', states._kernel)\n"
         "for kind, params in itertools.islice(requests, 240):\n"
         "    workloads.call_library(ghzgen, networks, kind, params)\n"
         "print(built['_stage'], built['_pattern_plan'], states._selection.cache_info().misses,\n"
-        "      built['_kernel'], built['_resolve_groups'], states._heralded.cache_info().misses,\n"
+        "      built['_kernel'], states._heralded.cache_info().misses,\n"
         "      *[f.cache_info().misses for f in (qnd._tags, noise._candidates, noise._errored,\n"
         "                                        states._cells)])\n"
     )
     counts = tuple(map(int, out.split()))
-    # (stages, pattern plans, selections, kernels, group resolutions, heralds,
-    #  tags, candidates, error images, entanglement cells)
-    assert counts == (98, 104, 11, 32, 3, 2, 1, 8, 41, 2)
+    # (stages, pattern plans, selections, kernels, heralds, tags,
+    #  candidates, error images, entanglement cells)
+    assert counts == (98, 104, 13, 32, 2, 1, 8, 41, 2)
 
 
 def test_library_output_is_bit_exact_with_every_stage_compiled():

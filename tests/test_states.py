@@ -1292,8 +1292,9 @@ def test_property_scaled_is_bit_exact_to_the_constructor(state, scalar):
 
 @given(_spread_state_st(), st.data())
 def test_property_project_each_is_bit_exact_to_the_constructor(state, data):
-    # group sets as tuples (resolved once per value) and as lists
-    # (resolved per call), twice each: first sight and memo hit alike
+    # the selection memo is keyed on the group sets as passed: each form
+    # twice, a memo hit for the forms hashed by value, a second first
+    # sight for the iterators, and a selection without the memo for lists
     group = st.tuples(
         st.lists(st.sampled_from(_MODES), min_size=1, unique=True).map(tuple),
         st.integers(0, 2),
@@ -1301,10 +1302,18 @@ def test_property_project_each_is_bit_exact_to_the_constructor(state, data):
     group_sets = data.draw(st.lists(st.lists(group, min_size=1, max_size=3), min_size=1, max_size=4))
     ref = [oracles.reference_project_occupancy(state, g) for g in group_sets]
     expected = [(_bits(c), p.hex()) for c, p in ref]
-    as_tuples = tuple(tuple(g) for g in group_sets)
-    for passed in (as_tuples, group_sets, as_tuples, group_sets):
-        got = project_each(state, passed)
-        assert [(_bits(c), p.hex()) for c, p in got] == expected
+    forms = (
+        lambda: tuple(tuple(g) for g in group_sets),
+        lambda: group_sets,
+        lambda: tuple(tuple((m[::-1], n) for m, n in g) for g in group_sets),
+        lambda: tuple(tuple((frozenset(m), n) for m, n in g) for g in group_sets),
+        lambda: tuple(tuple((iter(m), n) for m, n in g) for g in group_sets),
+        lambda: (tuple(g) for g in group_sets),
+    )
+    for form in forms:
+        for _ in range(2):
+            got = project_each(state, form())
+            assert [(_bits(c), p.hex()) for c, p in got] == expected
 
 
 @st.composite
@@ -1365,15 +1374,31 @@ def test_a_non_finite_scale_factor_raises(scalar):
         state * scalar
 
 
-def test_group_sets_not_hashed_by_value_are_resolved_per_call():
-    # an iterator is hashed by identity: it is read once and never stored,
-    # so a later iterator at the same address is read afresh
-    from ghzgen.states import _resolved_groups
-
+@pytest.mark.parametrize("group", [(("a",), None), (5, 1)])
+def test_a_malformed_group_raises_type_error_in_every_form(group):
+    # only a key that cannot be hashed is selected again without the memo:
+    # the selection's own TypeError is never retried on what is left of a
+    # one-shot iterator, which would turn it into a shorter result
     state = ket(("a", "H")) + ket(("b", "H"), amp=2.0)
-    stored = _resolved_groups.cache_info().currsize
-    for mode, prob in (("b", 0.8), ("a", 0.2), ("b", 0.8)):
-        ((cond, got),) = project_each(state, (((iter([mode]), 1),),))
-        assert list(cond.terms) == [FockKet({Rail(mode, "H"): 1})]
-        assert got == pytest.approx(prob)
-    assert _resolved_groups.cache_info().currsize == stored
+    good = ((("a",), 1),)
+    for group_sets in ([good, [group]], (good, (group,)), iter([good, (group,), good])):
+        with pytest.raises(TypeError):
+            project_each(state, group_sets)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: project_occupancy(s, [("d1", 1)]),
+        lambda s: project_occupancy(s, (("d1", 1),)),
+        lambda s: herald(s, "d1", "D"),
+        lambda s: next(iter(s))[0].count_in_modes("d1"),
+    ],
+    ids=["project_occupancy", "project_occupancy-hashable", "herald", "count_in_modes"],
+)
+def test_a_bare_string_of_modes_raises(call):
+    # frozenset("d1") is {"d", "1"}: read as single letters, the string
+    # would select, herald or count nothing, without a word
+    state = ket(("d1", "H"), ("T1", "V"))
+    with pytest.raises(ValueError, match="got the string 'd1'"):
+        call(state)
